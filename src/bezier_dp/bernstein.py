@@ -202,22 +202,33 @@ def bernstein_aggregate(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def tensor_apply_inverse(k: int, d: int, vec: np.ndarray) -> np.ndarray:
-    """Apply the inverse basis change along every tensor mode of a flat vector.
+    """Apply the inverse basis change along every tensor mode of flat vectors.
 
-    Maps a (possibly noisy) Bernstein aggregate to the corresponding vector of
-    unnormalized mixed power sums, without ever materializing the
-    (k+1)^d x (k+1)^d Kronecker matrix.
+    Maps (possibly noisy) Bernstein aggregates, shape (..., (k+1)^d), to the
+    corresponding unnormalized mixed power sums, without ever materializing
+    the (k+1)^d x (k+1)^d Kronecker matrix.  Each output is a sum of
+    elementwise products accumulated in a fixed order (no BLAS), so a row's
+    result does not depend on how many rows are passed with it.
     """
     k, d = _check_dims(k, d)
-    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != (k + 1) ** d:
+    vec = np.asarray(vec, dtype=np.float64)
+    m = k + 1
+    if vec.ndim == 0 or vec.shape[-1] != m**d:
         raise DomainError(
-            f"vector length {vec.shape[0]} does not match (k+1)^d = {(k + 1) ** d}"
+            f"vector length {vec.shape[-1] if vec.ndim else 1} does not match "
+            f"(k+1)^d = {m**d}"
         )
     inv = _inverse_float(k)
-    if d == 1:
-        return inv @ vec
-    t = vec.reshape((k + 1,) * d)
+    lead = vec.shape[:-1]
+    # cells first, rows last: every slice below is contiguous in the rows
+    t = np.ascontiguousarray(np.moveaxis(vec, -1, 0)).reshape((m,) * d + lead)
     for axis in range(d):
-        t = np.moveaxis(np.tensordot(inv, t, axes=(1, axis)), 0, axis)
-    return np.ascontiguousarray(t).reshape(-1)
+        cols = [t[(slice(None),) * axis + (l,)] for l in range(m)]
+        rows = []
+        for j in range(m):  # the inverse is upper triangular
+            acc = inv[j, j] * cols[j]
+            for l in range(j + 1, m):
+                acc = acc + inv[j, l] * cols[l]
+            rows.append(acc)
+        t = np.stack(rows, axis=axis)
+    return np.moveaxis(t.reshape((m**d,) + lead), 0, -1)

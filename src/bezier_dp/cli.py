@@ -58,8 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mechanism id or alias (e.g. bezier, naive_cov, moment:3:2)",
     )
     est.add_argument("--epsilon", type=float, required=True)
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--noise", choices=["seeded", "zero"], default="seeded")
+    est.add_argument(
+        "--seed",
+        type=int,
+        help="reproducible noise from this seed (NOT private; default: OS entropy)",
+    )
+    est.add_argument(
+        "--noise",
+        choices=["seeded", "zero"],
+        default="seeded",
+        help="zero releases the exact statistic (NOT private)",
+    )
     est.add_argument("--clip-input", action="store_true", help="clamp data into [0, 1]")
     est.add_argument(
         "--show-aggregates", action="store_true", help="print the noisy aggregates"
@@ -130,6 +139,9 @@ def _cmd_estimate(args) -> int:
         noise=args.noise,
         clip_input=args.clip_input,
     )
+    if args.noise == "zero" or args.seed is not None:
+        why = "--noise zero" if args.noise == "zero" else f"--seed {args.seed}"
+        print(f"reproducible noise: NOT private ({why})", file=sys.stderr)
     clip_txt = (
         "none"
         if est.clip_applied is None

@@ -1,10 +1,11 @@
 """Monte Carlo benchmark harness: configs, data generation, reports.
 
 Reproducibility contract: every noise draw in trial t of mechanism channel
-ch comes from the substream (base_seed, t, ch), and synthetic data for trial
-t from (base_seed, t, DATA_CHANNEL).  Per-trial squared errors are written
-into preallocated slots indexed by trial and reduced in a fixed order, so a
-report depends only on the config -- not on thread count or scheduling.
+ch comes from the substream (base_seed, t, ch) -- the same draws, scaled, at
+every epsilon -- and synthetic data for trial t from (base_seed, t,
+DATA_CHANNEL).  Per-trial squared errors are written into preallocated slots
+indexed by trial and reduced in a fixed order, so a report depends only on
+the config -- not on thread count, block size or scheduling.
 
 Report CSVs carry both the raw MSE and the normalized MSE n^2 * MSE; the
 attached analytic predictions always live on the normalized scale.
@@ -24,7 +25,14 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .mechanisms import prepare
-from .noise import NoiseSource, derive_seed, derive_substream
+from .noise import (
+    NoiseRows,
+    NoiseSource,
+    derive_seed,
+    derive_seeds,
+    derive_substream,
+    laplace_rows,
+)
 from .stats import Dataset
 from .theory import predicted_normalized_mse
 from .version import __version__
@@ -32,6 +40,10 @@ from .version import __version__
 # Channel index reserved for data generation; mechanism channels are the
 # (much smaller) positions of the mechanism in the config list.
 DATA_CHANNEL = 1_000_003
+
+# Most trials drawn as one noise block: a (trials, cells) matrix of at most
+# 10 cells then stays near 5 MB.
+_BLOCK_TRIALS = 1 << 16
 
 _STAT_DIM = {"variance": 1, "moment": 1, "covariance": 2, "correlation": 2}
 
@@ -505,12 +517,23 @@ def _resolve_threads(cfg: ExperimentConfig) -> int:
 
 
 def _trial_blocks(trials: int, threads: int) -> list[tuple[int, int]]:
-    per = max(1, -(-trials // max(1, threads * 8)))
+    """Trial ranges processed as one noise block each.
+
+    One thread takes all trials at once; a pool gets several blocks per
+    worker.  Either way a block holds at most _BLOCK_TRIALS trials.
+    """
+    per = trials if threads <= 1 else -(-trials // (threads * 8))
+    per = max(1, min(per, _BLOCK_TRIALS))
     return [(t0, min(trials, t0 + per)) for t0 in range(0, trials, per)]
 
 
 def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> BenchmarkReport:
-    """Run the full mechanism x epsilon grid and aggregate squared errors."""
+    """Run the full mechanism x epsilon grid and aggregate squared errors.
+
+    Trials are processed in blocks.  Per block and mechanism channel, one
+    unit-Laplace matrix holds the first draws of every trial's substream;
+    each epsilon scales it and runs the mechanism once over all rows.
+    """
     cfg = cfg.normalized()
     threads = _resolve_threads(cfg)
     mechs, epss, trials = cfg.mechanisms, cfg.epsilons, cfg.trials
@@ -528,13 +551,19 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
         (m, e): np.zeros(trials, dtype=np.float64) for m in mechs for e in epss
     }
 
-    def noise_source(t: int, channel: int) -> NoiseSource:
+    def score(m: str, p, t0: int, t1: int, channel: int) -> None:
+        """Squared errors of trials [t0, t1) of mechanism `m` at every epsilon."""
         if zero_noise:
-            return NoiseSource.zero()
-        return derive_substream(cfg.base_seed, t, channel)
+            unit = np.zeros((t1 - t0, p.cells))
+        else:
+            seeds = derive_seeds(cfg.base_seed, np.arange(t0, t1, dtype=np.uint64), channel)
+            unit = laplace_rows(seeds, p.cells)
+        for e in epss:
+            diff = p.run_value(e, NoiseRows(unit)) - p.exact_value
+            errors[(m, e)][t0:t1] = diff * diff
 
     if want_fixed:
-        prepared = {}
+        prepared = []
         for m in mechs:
             p = prepare(m, data0, **kw)
             if p.exact_value is None:
@@ -542,35 +571,24 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
                     f"{cfg.statistic} is undefined on the benchmark dataset; "
                     f"cannot score {m}"
                 )
-            prepared[m] = p
+            prepared.append(p)
 
         def work(block):
-            t0, t1 = block
-            for ch, m in enumerate(mechs):
-                p = prepared[m]
-                exact = p.exact_value
-                for e in epss:
-                    errs = errors[(m, e)]
-                    for t in range(t0, t1):
-                        diff = p.run_value(e, noise_source(t, ch)) - exact
-                        errs[t] = diff * diff
+            for ch, (m, p) in enumerate(zip(mechs, prepared)):
+                score(m, p, block[0], block[1], ch)
 
     else:
 
         def work(block):
-            t0, t1 = block
-            for t in range(t0, t1):
+            for t in range(*block):
                 data_t = generate_dataset(cfg, derive_seed(cfg.base_seed, t, DATA_CHANNEL))
                 for ch, m in enumerate(mechs):
                     p = prepare(m, data_t, **kw)
-                    exact = p.exact_value
-                    if exact is None:
+                    if p.exact_value is None:
                         raise ConfigError(
                             f"{cfg.statistic} undefined on the trial-{t} dataset"
                         )
-                    for e in epss:
-                        diff = p.run_value(e, noise_source(t, ch)) - exact
-                        errors[(m, e)][t] = diff * diff
+                    score(m, p, t, t + 1, ch)
 
     blocks = _trial_blocks(trials, threads)
     if threads <= 1 or len(blocks) <= 1:
@@ -620,11 +638,16 @@ def run_estimate(
     data_path: str,
     mechanism: str,
     eps: float,
-    seed: int = 0,
+    seed: int | None = None,
     noise: str = "seeded",
     clip_input: bool = False,
 ):
-    """One private release from a CSV dataset (the CLI `estimate` path)."""
+    """One private release from a CSV dataset (the CLI `estimate` path).
+
+    Without a seed the noise comes from OS entropy, so nobody can regenerate
+    it.  A seed (or zero noise) makes the release reproducible and therefore
+    NOT private; use it for tests and demonstrations only.
+    """
     if noise not in ("seeded", "zero"):
         raise ConfigError(f"noise must be 'seeded' or 'zero', got {noise!r}")
     data = load_csv_dataset(data_path, clip_input=clip_input)
@@ -642,6 +665,13 @@ def run_estimate(
     elif mechanism in _STAT_ALIASES or mechanism in _PLAIN_ALIASES:
         stat = "variance" if data.d == 1 else "covariance"
         name = resolve_mechanism(mechanism, stat)
-    src = NoiseSource.zero() if noise == "zero" else derive_substream(int(seed), 0, 0)
+    if noise == "zero":
+        src = NoiseSource.zero()
+    elif seed is None:
+        # the OS entropy secrets.randbits(64) reads, without the 3.5 MB that
+        # importing secrets (hashlib, OpenSSL) adds to every process
+        src = NoiseSource.seeded(int.from_bytes(os.urandom(8), "little"))
+    else:
+        src = derive_substream(int(seed), 0, 0)
     prepared = prepare(name, data, moment_k=moment_k, moment_j=moment_j)
     return prepared.run(float(eps), src)

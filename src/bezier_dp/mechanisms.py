@@ -14,16 +14,20 @@ fixed, public record count.  Budgets:
   * ``correlation_*``      pipelines post-processing the above.
 
 Construction is split into a prepare step (aggregates of the dataset, done
-once) and a run step (noise draw + post-processing, done per release), so
-Monte Carlo experiments pay the O(n) cost once.  Running any mechanism with
-a zero noise source reproduces the exact statistic bit for bit, because the
+once) and a release step.  A prepared mechanism is described by its number
+of Laplace cells, the noise scale `scale(eps)`, and one array kernel that
+maps noise at that scale, shape (..., cells), to released values, shape
+(...).  A single release draws one row from its source; a Monte Carlo block
+passes a (trials, cells) matrix (see `noise.NoiseRows`).  Kernels are
+elementwise in the trials axis and never call BLAS, so a trial's value does
+not depend on how many trials share the call.  Running any mechanism with a
+zero noise source reproduces the exact statistic bit for bit, because the
 noisy path adds explicit zero noise to the same float aggregates and then
 executes the same ratio/clip kernels as the exact path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +38,6 @@ from .bernstein import (
     multi_indices,
     tensor_apply_inverse,
     _check_dims,
-    _inverse_float,
 )
 from .errors import DomainError, UndefinedStatisticError
 from .noise import NoiseSource
@@ -47,7 +50,6 @@ from .stats import (
     ClipRange,
     Dataset,
     centered_moment_exact,
-    clip,
     correlation_exact,
     covariance_exact,
     moments_unnormalized,
@@ -76,28 +78,50 @@ class Estimate:
 
 
 class PreparedMechanism:
-    """A mechanism bound to one dataset; `run` draws fresh noise each call."""
+    """A mechanism bound to one dataset: `cells`, `scale(eps)` and a kernel.
 
-    __slots__ = ("mechanism_id", "clip_range", "exact_value", "_fn")
+    `kernel(noise)` maps Laplace noise already at `scale(eps)`, shape
+    (..., cells), to released values, shape (...).  `run_value` and `run`
+    draw `source.laplace_vector(scale(eps), cells)` and call the same kernel;
+    given a `NoiseRows` block instead of a single source, `run_value` returns
+    one value per row.
+    """
 
-    def __init__(self, mechanism_id, clip_range, exact_value, fn):
+    __slots__ = ("mechanism_id", "clip_range", "exact_value", "cells", "_scale", "_kernel")
+
+    def __init__(self, mechanism_id, clip_range, exact_value, cells, scale, kernel):
         self.mechanism_id = mechanism_id
         self.clip_range = clip_range
         self.exact_value = exact_value
-        self._fn = fn
+        self.cells = cells
+        self._scale = scale
+        self._kernel = kernel
 
-    def run_value(self, eps: float, source: NoiseSource) -> float:
-        """Fast path: just the released value (Monte Carlo hot loop)."""
-        eps = float(eps)
-        if not eps > 0.0:
-            raise DomainError(f"epsilon must be > 0, got {eps}")
-        return float(self._fn(eps, source, False)[0])
+    def scale(self, eps: float) -> float:
+        """Laplace scale b of every cell at budget eps."""
+        return self._scale(_check_eps(eps))
+
+    def kernel(self, noise):
+        """Released values for noise rows of shape (..., cells)."""
+        z = np.asarray(noise, dtype=np.float64)
+        if z.ndim == 0 or z.shape[-1] != self.cells:
+            raise DomainError(
+                f"{self.mechanism_id} needs noise with {self.cells} cell(s) per row, "
+                f"got shape {z.shape}"
+            )
+        return self._kernel(z, False)[0]
+
+    def _draw(self, eps, source):
+        return source.laplace_vector(self.scale(eps), self.cells)
+
+    def run_value(self, eps: float, source):
+        """Just the released value (a float; an array for `NoiseRows`)."""
+        val, _ = self._kernel(self._draw(eps, source), False)
+        return float(val) if np.ndim(val) == 0 else val
 
     def run(self, eps: float, source: NoiseSource) -> Estimate:
-        eps = float(eps)
-        if not eps > 0.0:
-            raise DomainError(f"epsilon must be > 0, got {eps}")
-        val, aggs = self._fn(eps, source, True)
+        eps = _check_eps(eps)
+        val, aggs = self._kernel(self._draw(eps, source), True)
         return Estimate(
             value=float(val),
             mechanism_id=self.mechanism_id,
@@ -105,6 +129,13 @@ class PreparedMechanism:
             clip_applied=self.clip_range,
             noisy_aggregates={k: float(v) for k, v in aggs.items()},
         )
+
+
+def _check_eps(eps) -> float:
+    eps = float(eps)
+    if not eps > 0.0:
+        raise DomainError(f"epsilon must be > 0, got {eps}")
+    return eps
 
 
 def _try_exact(fn, data):
@@ -118,6 +149,33 @@ def _check_stat(stat: str) -> str:
     if stat not in ("variance", "covariance"):
         raise DomainError(f"stat must be 'variance' or 'covariance', got {stat!r}")
     return stat
+
+
+def _clip(x, rng: ClipRange):
+    # np.minimum/np.maximum: np.clip's semantics at half its call overhead
+    return np.minimum(np.maximum(x, rng.lo), rng.hi)
+
+
+def _mid(rng: ClipRange) -> float:
+    return 0.5 * (rng.lo + rng.hi)
+
+
+def _count_guard(nn, fallback: float, value_of):
+    """`value_of(nn)` where |nn| >= _TINY_COUNT, else `fallback`.
+
+    Degenerate rows see a count of 1.0 instead, so no row divides by zero.
+    """
+    small = np.abs(nn) < _TINY_COUNT
+    if not small.any():
+        return value_of(nn)
+    return np.where(small, fallback, value_of(np.where(small, 1.0, nn)))
+
+
+def _ratio_guard(num, den, ok):
+    """num / sqrt(den) where `ok`, else 0.0; rows not `ok` never reach sqrt."""
+    if ok.all():
+        return num / np.sqrt(den)
+    return np.where(ok, num / np.sqrt(np.where(ok, den, 1.0)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +192,13 @@ def _prepare_swap(data: Dataset, stat: str, clip_output: bool) -> PreparedMechan
         rng = COVARIANCE_RANGE
     n = float(data.n)
 
-    def _run(eps, src, want):
-        z = src.laplace(1.0 / eps)
-        val = exact + z / n
-        if clip_output:
-            val = clip(val, rng)
-        aggs = {"stat~": exact + z / n} if want else None
-        return val, aggs
+    def _run(z, want):
+        noisy = exact + z[..., 0] / n
+        val = _clip(noisy, rng) if clip_output else noisy
+        return val, ({"stat~": noisy} if want else None)
 
     return PreparedMechanism(
-        f"swap_{stat}", rng if clip_output else None, exact, _run
+        f"swap_{stat}", rng if clip_output else None, exact, 1, lambda eps: 1.0 / eps, _run
     )
 
 
@@ -167,19 +222,19 @@ def _prepare_naive_variance(data: Dataset) -> PreparedMechanism:
     n, s1, s2 = float(s[0]), float(s[1]), float(s[2])
     exact = _try_exact(variance_exact, data)
 
-    def _run(eps, src, want):
-        z = src.laplace_vector(3.0 / eps, 3)  # order: count, sum x, sum x^2
-        nn = n + z[0]
-        sx = s1 + z[1]
-        sq = s2 + z[2]
-        if abs(nn) < _TINY_COUNT:
-            val = 0.5 * (VARIANCE_RANGE.lo + VARIANCE_RANGE.hi)
-        else:
-            val = clip(ratio_variance(nn, sx, sq), VARIANCE_RANGE)
-        aggs = {"n~": nn, "s_x~": sx, "s_x2~": sq} if want else None
-        return val, aggs
+    def _run(z, want):
+        # cells: count, sum x, sum x^2
+        nn = n + z[..., 0]
+        sx = s1 + z[..., 1]
+        sq = s2 + z[..., 2]
+        val = _count_guard(
+            nn, _mid(VARIANCE_RANGE), lambda c: _clip(ratio_variance(c, sx, sq), VARIANCE_RANGE)
+        )
+        return val, ({"n~": nn, "s_x~": sx, "s_x2~": sq} if want else None)
 
-    return PreparedMechanism("naive_variance", VARIANCE_RANGE, exact, _run)
+    return PreparedMechanism(
+        "naive_variance", VARIANCE_RANGE, exact, 3, lambda eps: 3.0 / eps, _run
+    )
 
 
 def _prepare_naive_covariance(data: Dataset) -> PreparedMechanism:
@@ -190,20 +245,20 @@ def _prepare_naive_covariance(data: Dataset) -> PreparedMechanism:
     sx, sy, sxy = float(np.sum(x)), float(np.sum(y)), float(np.sum(x * y))
     exact = _try_exact(covariance_exact, data)
 
-    def _run(eps, src, want):
-        z = src.laplace_vector(4.0 / eps, 4)  # order: count, sum x, sum y, sum xy
-        nn = n + z[0]
-        ax = sx + z[1]
-        ay = sy + z[2]
-        axy = sxy + z[3]
-        if abs(nn) < _TINY_COUNT:
-            val = 0.0
-        else:
-            val = clip(ratio_covariance(nn, ax, ay, axy), COVARIANCE_RANGE)
-        aggs = {"n~": nn, "s_x~": ax, "s_y~": ay, "s_xy~": axy} if want else None
-        return val, aggs
+    def _run(z, want):
+        # cells: count, sum x, sum y, sum xy
+        nn = n + z[..., 0]
+        ax = sx + z[..., 1]
+        ay = sy + z[..., 2]
+        axy = sxy + z[..., 3]
+        val = _count_guard(
+            nn, 0.0, lambda c: _clip(ratio_covariance(c, ax, ay, axy), COVARIANCE_RANGE)
+        )
+        return val, ({"n~": nn, "s_x~": ax, "s_y~": ay, "s_xy~": axy} if want else None)
 
-    return PreparedMechanism("naive_covariance", COVARIANCE_RANGE, exact, _run)
+    return PreparedMechanism(
+        "naive_covariance", COVARIANCE_RANGE, exact, 4, lambda eps: 4.0 / eps, _run
+    )
 
 
 def naive_add_remove(
@@ -233,20 +288,16 @@ def _prepare_improved(data: Dataset, stat: str) -> PreparedMechanism:
     n = float(data.n)
     v = exact if exact is not None else 0.0
     u = n * v
-    mid = 0.5 * (rng.lo + rng.hi)
 
-    def _run(eps, src, want):
-        z = src.laplace_vector(2.0 / eps, 2)  # order: count, unnormalized stat
-        nn = n + z[0]
-        if abs(nn) < _TINY_COUNT:
-            val = mid
-        else:
-            # (u + z_u) / (n + z_n) rewritten so zero noise returns v exactly
-            val = clip(v + (z[1] - v * z[0]) / nn, rng)
-        aggs = {"n~": nn, "u~": u + z[1]} if want else None
-        return val, aggs
+    def _run(z, want):
+        # cells: count, unnormalized statistic
+        z0, z1 = z[..., 0], z[..., 1]
+        nn = n + z0
+        # (u + z_u) / (n + z_n) rewritten so zero noise returns v exactly
+        val = _count_guard(nn, _mid(rng), lambda c: _clip(v + (z1 - v * z0) / c, rng))
+        return val, ({"n~": nn, "u~": u + z1} if want else None)
 
-    return PreparedMechanism(f"improved_{stat}", rng, exact, _run)
+    return PreparedMechanism(f"improved_{stat}", rng, exact, 2, lambda eps: 2.0 / eps, _run)
 
 
 def improved_add_remove(
@@ -267,31 +318,32 @@ def _prepare_bezier_variance(data: Dataset) -> PreparedMechanism:
     # degree-2 basis aggregate, kept for the audit trail
     b0, b1, b2 = n - 2.0 * s1 + s2, 2.0 * (s1 - s2), s2
 
-    def _run(eps, src, want):
-        z = src.laplace_vector(1.0 / eps, 3)  # order: basis cells 0, 1, 2
-        zn = z[0] + z[1] + z[2]
-        zx = 0.5 * z[1] + z[2]
-        zq = z[2]
-        nn = n + zn
-        if abs(nn) < _TINY_COUNT:
-            val = 0.5 * (VARIANCE_RANGE.lo + VARIANCE_RANGE.hi)
-        else:
-            val = clip(ratio_variance(nn, s1 + zx, s2 + zq), VARIANCE_RANGE)
+    def _run(z, want):
+        # cells: basis cells 0, 1, 2
+        z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
+        nn = n + (z0 + z1 + z2)
+        sx = s1 + (0.5 * z1 + z2)
+        sq = s2 + z2
+        val = _count_guard(
+            nn, _mid(VARIANCE_RANGE), lambda c: _clip(ratio_variance(c, sx, sq), VARIANCE_RANGE)
+        )
         aggs = (
             {
-                "b_0~": b0 + z[0],
-                "b_1~": b1 + z[1],
-                "b_2~": b2 + z[2],
+                "b_0~": b0 + z0,
+                "b_1~": b1 + z1,
+                "b_2~": b2 + z2,
                 "n~": nn,
-                "s_x~": s1 + zx,
-                "s_x2~": s2 + zq,
+                "s_x~": sx,
+                "s_x2~": sq,
             }
             if want
             else None
         )
         return val, aggs
 
-    return PreparedMechanism("bezier_variance", VARIANCE_RANGE, exact, _run)
+    return PreparedMechanism(
+        "bezier_variance", VARIANCE_RANGE, exact, 3, lambda eps: 1.0 / eps, _run
+    )
 
 
 def bezier_variance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
@@ -306,24 +358,24 @@ def _cov_runner(n, sx, sy, sxy, out_range, mechanism_id, exact):
     b10 = sx - sxy
     b11 = sxy
 
-    def _run(eps, src, want):
-        z = src.laplace_vector(1.0 / eps, 4)  # cells (0,0), (0,1), (1,0), (1,1)
-        nn = n + (z[0] + z[1] + z[2] + z[3])
-        ax = sx + (z[2] + z[3])
-        ay = sy + (z[1] + z[3])
-        axy = sxy + z[3]
-        if abs(nn) < _TINY_COUNT:
-            val = 0.0
-        else:
-            val = clip(ratio_covariance(nn, ax, ay, axy), COVARIANCE_RANGE)
+    def _run(z, want):
+        # cells (0,0), (0,1), (1,0), (1,1)
+        z0, z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+        nn = n + (z0 + z1 + z2 + z3)
+        ax = sx + (z2 + z3)
+        ay = sy + (z1 + z3)
+        axy = sxy + z3
+        val = _count_guard(
+            nn, 0.0, lambda c: _clip(ratio_covariance(c, ax, ay, axy), COVARIANCE_RANGE)
+        )
         if out_range is not COVARIANCE_RANGE:
-            val = clip(val, out_range)
+            val = _clip(val, out_range)
         aggs = (
             {
-                "b_{0,0}~": b00 + z[0],
-                "b_{0,1}~": b01 + z[1],
-                "b_{1,0}~": b10 + z[2],
-                "b_{1,1}~": b11 + z[3],
+                "b_{0,0}~": b00 + z0,
+                "b_{0,1}~": b01 + z1,
+                "b_{1,0}~": b10 + z2,
+                "b_{1,1}~": b11 + z3,
                 "n~": nn,
                 "s_x~": ax,
                 "s_y~": ay,
@@ -334,7 +386,7 @@ def _cov_runner(n, sx, sy, sxy, out_range, mechanism_id, exact):
         )
         return val, aggs
 
-    return PreparedMechanism(mechanism_id, out_range, exact, _run)
+    return PreparedMechanism(mechanism_id, out_range, exact, 4, lambda eps: 1.0 / eps, _run)
 
 
 def _prepare_bezier_covariance(data: Dataset) -> PreparedMechanism:
@@ -375,22 +427,24 @@ def _prepare_transformed_variance(data: Dataset) -> PreparedMechanism:
     v = exact if exact is not None else 0.0
     u = n * v
 
-    def _run(eps, src, want):
-        z = src.laplace_vector(1.0 / eps, 2)  # cells: n - u, u
-        zt = z[0] + z[1]
+    def _run(z, want):
+        # cells: n - u, u
+        z0, z1 = z[..., 0], z[..., 1]
+        zt = z0 + z1
         nn = n + zt
-        if abs(nn) < _TINY_COUNT:
-            val = 0.5 * (VARIANCE_RANGE.lo + VARIANCE_RANGE.hi)
-        else:
-            val = clip(v + (z[1] - v * zt) / nn, VARIANCE_RANGE)
+        val = _count_guard(
+            nn, _mid(VARIANCE_RANGE), lambda c: _clip(v + (z1 - v * zt) / c, VARIANCE_RANGE)
+        )
         aggs = (
-            {"b_0~": (n - u) + z[0], "b_1~": u + z[1], "n~": nn, "u~": u + z[1]}
+            {"b_0~": (n - u) + z0, "b_1~": u + z1, "n~": nn, "u~": u + z1}
             if want
             else None
         )
         return val, aggs
 
-    return PreparedMechanism("transformed_variance", VARIANCE_RANGE, exact, _run)
+    return PreparedMechanism(
+        "transformed_variance", VARIANCE_RANGE, exact, 2, lambda eps: 1.0 / eps, _run
+    )
 
 
 def transformed_variance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
@@ -405,7 +459,7 @@ def transformed_variance(data: Dataset, eps: float, source: NoiseSource) -> Esti
 class PreparedMomentRelease:
     """Degree-k, dimension-d Bernstein release bound to one dataset."""
 
-    __slots__ = ("k", "d", "aggregate", "_inv1")
+    __slots__ = ("k", "d", "aggregate")
 
     def __init__(self, data: Dataset, k: int, d: int):
         k, d = _check_dims(k, d)
@@ -414,18 +468,22 @@ class PreparedMomentRelease:
         self.k = k
         self.d = d
         self.aggregate = bernstein_aggregate(data.values, k)
-        self._inv1 = _inverse_float(k) if d == 1 else None
+
+    @property
+    def cells(self) -> int:
+        return self.aggregate.shape[0]
+
+    def scale(self, eps: float) -> float:
+        return 1.0 / _check_eps(eps)
+
+    def kernel(self, noise):
+        """(recovered power sums, noisy basis aggregate) for noise rows."""
+        noisy = self.aggregate + noise
+        return tensor_apply_inverse(self.k, self.d, noisy), noisy
 
     def release_full(self, eps, source):
         """(recovered power-sum vector, noisy basis aggregate)."""
-        eps = float(eps)
-        if not eps > 0.0:
-            raise DomainError(f"epsilon must be > 0, got {eps}")
-        z = source.laplace_vector(1.0 / eps, self.aggregate.shape[0])
-        noisy = self.aggregate + z
-        if self._inv1 is not None:
-            return self._inv1 @ noisy, noisy
-        return tensor_apply_inverse(self.k, self.d, noisy), noisy
+        return self.kernel(source.laplace_vector(self.scale(eps), self.cells))
 
     def release(self, eps, source) -> np.ndarray:
         return self.release_full(eps, source)[0]
@@ -452,6 +510,22 @@ def _agg_key(prefix: str, alpha: tuple[int, ...]) -> str:
     return f"{prefix}_{{{','.join(str(a) for a in alpha)}}}~"
 
 
+def _basis_mechanism(name, clip_range, exact, rel, value_of) -> PreparedMechanism:
+    """Mechanism releasing `value_of(mu)` from one basis release `rel`."""
+    idx = multi_indices(rel.k, rel.d)
+
+    def _run(z, want):
+        mu, noisy = rel.kernel(z)
+        val = value_of(mu)
+        if not want:
+            return val, None
+        aggs = {_agg_key("b", alpha): noisy[..., i] for i, alpha in enumerate(idx)}
+        aggs.update({_agg_key("mu", alpha): mu[..., i] for i, alpha in enumerate(idx)})
+        return val, aggs
+
+    return PreparedMechanism(name, clip_range, exact, rel.cells, lambda eps: 1.0 / eps, _run)
+
+
 def _prepare_moment_statistic(data: Dataset, k, j) -> PreparedMechanism:
     if k is None or j is None:
         raise DomainError("moment_release needs moment_k and moment_j")
@@ -460,35 +534,24 @@ def _prepare_moment_statistic(data: Dataset, k, j) -> PreparedMechanism:
     if not 0 <= j <= rel.k:
         raise DomainError(f"moment order must lie in [0, {rel.k}], got {j}")
     exact = float(moments_unnormalized(data, rel.k)[j])
-
-    def _run(eps, src, want):
-        mu, noisy = rel.release_full(eps, src)
-        val = mu[j]
-        if not want:
-            return val, None
-        aggs = {}
-        for i in range(rel.k + 1):
-            aggs[_agg_key("b", (i,))] = noisy[i]
-        for i in range(rel.k + 1):
-            aggs[_agg_key("mu", (i,))] = mu[i]
-        return val, aggs
-
-    return PreparedMechanism("moment_release", None, exact, _run)
+    return _basis_mechanism("moment_release", None, exact, rel, lambda mu: mu[..., j])
 
 
 @dataclass(frozen=True)
 class GeneralStatistic:
     """A statistic computed by post-processing a full basis release.
 
-    `post_process` receives the recovered power-sum vector (flat, in
-    `multi_indices(k, d)` order) and returns the statistic.  `exact_fn`, when
-    given, computes the non-private truth for benchmarking.
+    `post_process` receives recovered power sums with shape (..., (k+1)^d),
+    last axis in `multi_indices(k, d)` order, and returns the statistic for
+    every row, shape (...); index it as `mu[..., i]` so one function serves
+    a single release and a block of trials.  `exact_fn`, when given,
+    computes the non-private truth for benchmarking.
     """
 
     name: str
     k: int
     d: int
-    post_process: Callable[[np.ndarray], float]
+    post_process: Callable[[np.ndarray], np.ndarray]
     clip: ClipRange | None = None
     exact_fn: Callable[[Dataset], float] | None = None
 
@@ -496,23 +559,12 @@ class GeneralStatistic:
 def _prepare_general(data: Dataset, stat: GeneralStatistic) -> PreparedMechanism:
     rel = prepare_moment_release(data, stat.k, stat.d)
     exact = _try_exact(stat.exact_fn, data) if stat.exact_fn is not None else None
-    idx = multi_indices(stat.k, stat.d)
 
-    def _run(eps, src, want):
-        mu, noisy = rel.release_full(eps, src)
-        val = float(stat.post_process(mu))
-        if stat.clip is not None:
-            val = clip(val, stat.clip)
-        if not want:
-            return val, None
-        aggs = {}
-        for alpha, b in zip(idx, noisy):
-            aggs[_agg_key("b", alpha)] = b
-        for alpha, m in zip(idx, mu):
-            aggs[_agg_key("mu", alpha)] = m
-        return val, aggs
+    def value_of(mu):
+        val = stat.post_process(mu)
+        return val if stat.clip is None else _clip(val, stat.clip)
 
-    return PreparedMechanism(stat.name, stat.clip, exact, _run)
+    return _basis_mechanism(stat.name, stat.clip, exact, rel, value_of)
 
 
 def general_statistic(
@@ -524,20 +576,16 @@ def general_statistic(
 
 # -- built-in general statistics -------------------------------------------
 
-def _corr_post(mu: np.ndarray) -> float:
+def _corr_post(mu: np.ndarray) -> np.ndarray:
     # layout for k=2, d=2: flat index = 3 * a_x + a_y
-    nn = mu[0]
-    if abs(nn) < _TINY_COUNT:
-        return 0.0
-    vx = ratio_variance(nn, mu[3], mu[6])
-    vy = ratio_variance(nn, mu[1], mu[2])
-    c = ratio_covariance(nn, mu[3], mu[1], mu[4])
-    if vx <= 0.0 or vy <= 0.0:
-        return 0.0
-    prod = vx * vy
-    if prod <= _TINY_VARPROD:
-        return 0.0
-    return c / math.sqrt(prod)
+    def value_of(nn):
+        vx = ratio_variance(nn, mu[..., 3], mu[..., 6])
+        vy = ratio_variance(nn, mu[..., 1], mu[..., 2])
+        c = ratio_covariance(nn, mu[..., 3], mu[..., 1], mu[..., 4])
+        prod = vx * vy
+        return _ratio_guard(c, prod, (vx > 0.0) & (vy > 0.0) & (prod > _TINY_VARPROD))
+
+    return _count_guard(mu[..., 0], 0.0, value_of)
 
 
 def correlation_statistic() -> GeneralStatistic:
@@ -552,40 +600,38 @@ def correlation_statistic() -> GeneralStatistic:
     )
 
 
-def _central_moments(mu: np.ndarray, upto: int):
-    nn = mu[0]
-    m = mu[1] / nn
+def _central_moments(nn, mu: np.ndarray, upto: int):
+    m = mu[..., 1] / nn
     out = {1: m}
     if upto >= 2:
-        out[2] = mu[2] / nn - m * m
+        out[2] = mu[..., 2] / nn - m * m
     if upto >= 3:
-        out[3] = mu[3] / nn - 3.0 * m * (mu[2] / nn) + 2.0 * m**3
+        out[3] = mu[..., 3] / nn - 3.0 * m * (mu[..., 2] / nn) + 2.0 * m**3
     if upto >= 4:
         out[4] = (
-            mu[4] / nn
-            - 4.0 * m * (mu[3] / nn)
-            + 6.0 * m * m * (mu[2] / nn)
+            mu[..., 4] / nn
+            - 4.0 * m * (mu[..., 3] / nn)
+            + 6.0 * m * m * (mu[..., 2] / nn)
             - 3.0 * m**4
         )
     return out
 
 
-def _skew_post(mu: np.ndarray) -> float:
-    if abs(mu[0]) < _TINY_COUNT:
-        return 0.0
-    cm = _central_moments(mu, 3)
-    if cm[2] <= _TINY_VARPROD:
-        return 0.0
-    return cm[3] / cm[2] ** 1.5
+def _standardized_post(order: int):
+    def post(mu):
+        def value_of(nn):
+            cm = _central_moments(nn, mu, order)
+            ok = cm[2] > _TINY_VARPROD
+            var = np.where(ok, cm[2], 1.0)
+            return np.where(ok, cm[order] / var ** (order / 2.0), 0.0)
+
+        return _count_guard(mu[..., 0], 0.0, value_of)
+
+    return post
 
 
-def _kurt_post(mu: np.ndarray) -> float:
-    if abs(mu[0]) < _TINY_COUNT:
-        return 0.0
-    cm = _central_moments(mu, 4)
-    if cm[2] <= _TINY_VARPROD:
-        return 0.0
-    return cm[4] / cm[2] ** 2
+_skew_post = _standardized_post(3)
+_kurt_post = _standardized_post(4)
 
 
 def skewness_statistic() -> GeneralStatistic:
@@ -614,22 +660,16 @@ def centered_moment_statistic(order: int) -> GeneralStatistic:
     """Central moment E[(x - mean)^order] for order 3 or 4, range-clipped."""
     if order == 3:
         rng = CENTERED_THIRD_RANGE
-
-        def post(mu):
-            if abs(mu[0]) < _TINY_COUNT:
-                return 0.5 * (rng.lo + rng.hi)
-            return _central_moments(mu, 3)[3]
-
     elif order == 4:
         rng = CENTERED_FOURTH_RANGE
-
-        def post(mu):
-            if abs(mu[0]) < _TINY_COUNT:
-                return 0.5 * (rng.lo + rng.hi)
-            return _central_moments(mu, 4)[4]
-
     else:
         raise DomainError(f"centered moment supports order 3 or 4, got {order}")
+
+    def post(mu):
+        return _count_guard(
+            mu[..., 0], _mid(rng), lambda nn: _central_moments(nn, mu, order)[order]
+        )
+
     return GeneralStatistic(
         name=f"centered_moment_{order}",
         k=order,
@@ -656,20 +696,19 @@ def _prepare_correlation_composed(data: Dataset) -> PreparedMechanism:
     py = _prepare_bezier_variance(data.univariate(1))
     exact = _try_exact(correlation_exact, data)
 
-    def _run(eps, src, want):
-        sub = eps / 3.0  # budget split across the three releases
-        c, _ = pc._fn(sub, src, False)
-        vx, _ = px._fn(sub, src, False)
-        vy, _ = py._fn(sub, src, False)
+    def _run(z, want):
+        # cells: covariance 0-3, x variance 4-6, y variance 7-9, all at one scale
+        c = pc.kernel(z[..., 0:4])
+        vx = px.kernel(z[..., 4:7])
+        vy = py.kernel(z[..., 7:10])
         prod = vx * vy
-        if prod <= _TINY_VARPROD:
-            val = 0.0
-        else:
-            val = clip(c / math.sqrt(prod), CORRELATION_RANGE)
-        aggs = {"c~": c, "v_x~": vx, "v_y~": vy} if want else None
-        return val, aggs
+        val = _clip(_ratio_guard(c, prod, prod > _TINY_VARPROD), CORRELATION_RANGE)
+        return val, ({"c~": c, "v_x~": vx, "v_y~": vy} if want else None)
 
-    return PreparedMechanism("correlation_composed", CORRELATION_RANGE, exact, _run)
+    # the budget is split evenly across the three releases
+    return PreparedMechanism(
+        "correlation_composed", CORRELATION_RANGE, exact, 10, lambda eps: 1.0 / (eps / 3.0), _run
+    )
 
 
 def correlation_composed(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
@@ -687,35 +726,31 @@ def _prepare_correlation_naive(data: Dataset) -> PreparedMechanism:
     sxy = float(np.sum(x * y))
     exact = _try_exact(correlation_exact, data)
 
-    def _run(eps, src, want):
-        # order: count, sum x, sum y, sum x^2, sum y^2, sum xy
-        z = src.laplace_vector(6.0 / eps, 6)
-        nn = n + z[0]
-        if abs(nn) < _TINY_COUNT:
-            return 0.0, ({"n~": nn} if want else None)
-        ax, ay = sx + z[1], sy + z[2]
-        vx = ratio_variance(nn, ax, sxx + z[3])
-        vy = ratio_variance(nn, ay, syy + z[4])
-        c = ratio_covariance(nn, ax, ay, sxy + z[5])
-        if vx <= 0.0 or vy <= 0.0 or vx * vy <= _TINY_VARPROD:
-            val = 0.0
-        else:
-            val = clip(c / math.sqrt(vx * vy), CORRELATION_RANGE)
+    def _run(z, want):
+        # cells: count, sum x, sum y, sum x^2, sum y^2, sum xy
+        nn = n + z[..., 0]
+        ax, ay = sx + z[..., 1], sy + z[..., 2]
+        axx, ayy, axy = sxx + z[..., 3], syy + z[..., 4], sxy + z[..., 5]
+
+        def value_of(c):
+            vx = ratio_variance(c, ax, axx)
+            vy = ratio_variance(c, ay, ayy)
+            cv = ratio_covariance(c, ax, ay, axy)
+            prod = vx * vy
+            ok = (vx > 0.0) & (vy > 0.0) & (prod > _TINY_VARPROD)
+            return _clip(_ratio_guard(cv, prod, ok), CORRELATION_RANGE)
+
+        val = _count_guard(nn, 0.0, value_of)
         aggs = (
-            {
-                "n~": nn,
-                "s_x~": ax,
-                "s_y~": ay,
-                "s_x2~": sxx + z[3],
-                "s_y2~": syy + z[4],
-                "s_xy~": sxy + z[5],
-            }
+            {"n~": nn, "s_x~": ax, "s_y~": ay, "s_x2~": axx, "s_y2~": ayy, "s_xy~": axy}
             if want
             else None
         )
         return val, aggs
 
-    return PreparedMechanism("correlation_naive", CORRELATION_RANGE, exact, _run)
+    return PreparedMechanism(
+        "correlation_naive", CORRELATION_RANGE, exact, 6, lambda eps: 6.0 / eps, _run
+    )
 
 
 def correlation_naive(data: Dataset, eps: float, source: NoiseSource) -> Estimate:

@@ -8,7 +8,10 @@ what makes experiment results independent of batching and thread count.
 
 Substreams for (trial, channel) pairs are derived by avalanche-mixing the
 indices into the base seed, giving statistically independent streams without
-any shared mutable state.
+any shared mutable state.  Because both the seed derivation and the draws are
+pure functions of their counters, `derive_seeds` and `laplace_rows` compute a
+whole block of trials' substreams as one array and still reproduce every
+per-trial draw bit for bit; `NoiseRows` hands such a block to a mechanism.
 
 Uniform deviates are built from the top 53 bits as (bits + 0.5) * 2**-53 - 0.5,
 which lies strictly inside (-1/2, 1/2); Laplace deviates use the inverse-CDF
@@ -46,16 +49,74 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_vector(z: np.ndarray) -> np.ndarray:
+    """`_mix64` elementwise on a uint64 array (wrapping arithmetic).
+
+    Callers enter np.errstate(over="ignore") once around it: a context per
+    call costs about as much as mixing a short array.
+    """
+    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
+    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms_from_bits(bits: np.ndarray) -> np.ndarray:
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _SCALE - 0.5
+
+
+def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
+    out = np.log1p(-2.0 * np.abs(u))
+    out *= np.sign(u)
+    out *= -scale
+    return out
+
+
+def _check_channel(channel) -> None:
+    if not isinstance(channel, (int, np.integer)) or channel < 0:
+        raise DomainError(f"channel must be an integer >= 0, got {channel!r}")
+
+
 def derive_seed(base_seed: int, trial_index: int, channel: int) -> int:
     """Collision-resistant 64-bit seed for one (trial, channel) substream."""
     if not isinstance(trial_index, (int, np.integer)) or trial_index < 0:
         raise DomainError(f"trial_index must be an integer >= 0, got {trial_index!r}")
-    if not isinstance(channel, (int, np.integer)) or channel < 0:
-        raise DomainError(f"channel must be an integer >= 0, got {channel!r}")
+    _check_channel(channel)
     h = _mix64((int(base_seed) + _GAMMA) & _MASK64)
     h = _mix64(h ^ (((int(trial_index) + 1) * _GAMMA) & _MASK64))
     h = _mix64(h ^ (((int(channel) + 1) * _CHANNEL_MULT) & _MASK64))
     return h
+
+
+def derive_seeds(base_seed: int, trial_indices, channel: int) -> np.ndarray:
+    """`derive_seed` for an array of trial indices at once, as uint64.
+
+    Bit-identical to the scalar reference for every index in [0, 2**64).
+    """
+    t = np.asarray(trial_indices)
+    if t.dtype.kind not in "iu" or (t.size and t.dtype.kind == "i" and t.min() < 0):
+        raise DomainError("trial indices must be integers >= 0")
+    _check_channel(channel)
+    h0 = np.uint64(_mix64((int(base_seed) + _GAMMA) & _MASK64))
+    ch = np.uint64(((int(channel) + 1) * _CHANNEL_MULT) & _MASK64)
+    with np.errstate(over="ignore"):
+        h = _mix64_vector(h0 ^ ((t.astype(np.uint64) + np.uint64(1)) * _U64_GAMMA))
+        return _mix64_vector(h ^ ch)
+
+
+def laplace_rows(seeds, count: int) -> np.ndarray:
+    """Unit-scale Laplace draws from many seeded streams, one row per seed.
+
+    Row i equals `NoiseSource.seeded(seeds[i]).laplace_vector(1.0, count)`,
+    and row i times b equals the same stream's `laplace_vector(b, count)`,
+    bit for bit.
+    """
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        bits = _mix64_vector(seeds + idx * _U64_GAMMA)
+    return _laplace_from_uniforms(_uniforms_from_bits(bits), 1.0)
 
 
 class NoiseSource:
@@ -111,10 +172,7 @@ class NoiseSource:
         idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
         with np.errstate(over="ignore"):
-            z = np.uint64(self._seed) + idx * _U64_GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
-            z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
-            return z ^ (z >> np.uint64(31))
+            return _mix64_vector(np.uint64(self._seed) + idx * _U64_GAMMA)
 
     # -- uniforms -----------------------------------------------------------
 
@@ -129,8 +187,7 @@ class NoiseSource:
             return np.array(
                 [((b >> 11) + 0.5) * _SCALE - 0.5 for b in bits], dtype=np.float64
             )
-        bits = self._bits_vector(count)
-        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _SCALE - 0.5
+        return _uniforms_from_bits(self._bits_vector(count))
 
     def uniforms01(self, count: int) -> np.ndarray:
         """`count` uniforms strictly inside (0, 1) (data-generation helper)."""
@@ -175,10 +232,7 @@ class NoiseSource:
             )
         else:
             u = self.uniforms(count)
-        out = np.log1p(-2.0 * np.abs(u))
-        out *= np.sign(u)
-        out *= -scale
-        return out
+        return _laplace_from_uniforms(u, scale)
 
     def _replay_take(self, count: int) -> np.ndarray:
         have = len(self._values) - self._pos
@@ -194,6 +248,46 @@ class NoiseSource:
 def derive_substream(base_seed: int, trial_index: int, channel: int) -> NoiseSource:
     """Seeded source for one (trial, channel) cell of an experiment grid."""
     return NoiseSource.seeded(derive_seed(base_seed, trial_index, channel))
+
+
+class NoiseRows:
+    """Plays back a (rows, cells) matrix of unit-scale Laplace draws.
+
+    `laplace_vector(scale, count)` returns the next `count` columns times
+    `scale`, shape (rows, count), so a mechanism run on it releases one value
+    per row.  Built from `laplace_rows` over per-trial substream seeds, row t
+    matches what the substream of trial t would have drawn.  Draws past the
+    last column raise ReplayExhaustedError.
+    """
+
+    __slots__ = ("_unit", "_pos")
+
+    def __init__(self, unit):
+        unit = np.asarray(unit, dtype=np.float64)
+        if unit.ndim != 2:
+            raise DomainError(f"noise rows must form a 2-d array, got shape {unit.shape}")
+        self._unit = unit
+        self._pos = 0
+
+    @property
+    def draws(self) -> int:
+        """Draws consumed so far in each row."""
+        return self._pos
+
+    def laplace_vector(self, scale: float, count: int) -> np.ndarray:
+        scale = float(scale)
+        if not scale > 0.0:
+            raise DomainError(f"Laplace scale must be > 0, got {scale}")
+        if count < 0:
+            raise DomainError(f"count must be >= 0, got {count}")
+        have = self._unit.shape[1] - self._pos
+        if count > have:
+            raise ReplayExhaustedError(
+                f"noise rows have {have} draw(s) left but {count} were requested"
+            )
+        block = self._unit[:, self._pos : self._pos + count]
+        self._pos += count
+        return block * scale
 
 
 def laplace_sample(source: NoiseSource, scale: float) -> float:

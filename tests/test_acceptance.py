@@ -8,9 +8,11 @@ and then asserts the same condition, so a red criterion is both greppable and
 a test failure.
 
 Monte Carlo sample sizes are chosen so every statistical check sits at least
-roughly four standard errors from its tolerance boundary; the whole module
-runs in about three minutes on one core (the neighbor-pair certificate A4,
-at 100k pairs per map, accounts for most of it).
+roughly four standard errors from its tolerance boundary.  The Monte Carlo
+criteria draw all of a cell's noise from its seeded stream in one call and
+run the mechanism's array kernel over the (trials, cells) matrix; that is the
+same draw sequence a per-trial release loop consumes.  The neighbor-pair
+certificate A4, at 100k pairs per map, takes most of the module's run time.
 """
 
 from __future__ import annotations
@@ -39,16 +41,17 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def _noise_rows(prep, eps: float, trials: int, seed: int) -> np.ndarray:
+    """(trials, cells) noise at the mechanism's scale, drawn in trial order."""
+    src = NoiseSource.seeded(seed)
+    return src.laplace_vector(prep.scale(eps), trials * prep.cells).reshape(trials, prep.cells)
+
+
 def _mc_normalized(mechanism_id: str, data, eps: float, trials: int, seed: int) -> float:
     """Normalized MSE  n^2 * mean((release - exact)^2)  over seeded trials."""
     prep = bd.prepare(mechanism_id, data)
-    exact = prep.exact_value
-    src = NoiseSource.seeded(seed)
-    total = 0.0
-    for _ in range(trials):
-        err = prep.run_value(eps, src) - exact
-        total += err * err
-    return float(data.n) ** 2 * (total / trials)
+    err = prep.kernel(_noise_rows(prep, eps, trials, seed)) - prep.exact_value
+    return float(data.n) ** 2 * (float(np.sum(err * err)) / trials)
 
 
 def _uniform_dataset(seed: int, n: int, d: int = 1):
@@ -132,12 +135,9 @@ def test_a2_moment_release_mse_matches_weights():
     for k in (2, 3):
         prep = bd.prepare_moment_release(data, k)
         exact_vec = bd.moments_unnormalized(data, k)
-        src = NoiseSource.seeded(derive_seed(2202, k, 0))
-        acc = np.zeros(k + 1)
-        for _ in range(trials):
-            err = prep.release(eps, src) - exact_vec
-            acc += err * err
-        mse = acc / trials
+        noise = _noise_rows(prep, eps, trials, derive_seed(2202, k, 0))
+        err = prep.kernel(noise)[0] - exact_vec
+        mse = np.sum(err * err, axis=0) / trials
         for j in range(k + 1):
             pred = bd.moment_release_mse(k, j, eps)
             worst = max(worst, abs(mse[j] / pred - 1.0))
@@ -166,11 +166,9 @@ def test_a3_top_moment_mse_is_two_over_eps_squared():
         prep = bd.prepare_moment_release(data, k)
         exact_top = float(bd.moments_unnormalized(data, k)[k])
         for ei, eps in enumerate((0.3, 1.0)):
-            src = NoiseSource.seeded(derive_seed(2302, k, ei))
-            acc = 0.0
-            for _ in range(trials):
-                diff = float(prep.release(eps, src)[k]) - exact_top
-                acc += diff * diff
+            noise = _noise_rows(prep, eps, trials, derive_seed(2302, k, ei))
+            diff = prep.kernel(noise)[0][:, k] - exact_top
+            acc = float(np.sum(diff * diff))
             worst = max(worst, abs(acc / trials / (2.0 / eps**2) - 1.0))
     _verdict(
         "A3",

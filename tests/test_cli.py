@@ -1,6 +1,7 @@
 """CLI surface: subcommands, output shapes, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -59,6 +60,19 @@ def test_estimate_seeded_reproducible(data_csv, capsys):
     first = capsys.readouterr().out
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == first
+
+
+def test_estimate_flags_reproducible_noise_as_not_private(data_csv, capsys):
+    argv = ["estimate", "--data", data_csv, "--mechanism", "bezier", "--epsilon", "1"]
+    assert main(argv) == EXIT_OK
+    assert "NOT private" not in capsys.readouterr().err
+    for extra in (["--seed", "3"], ["--noise", "zero"]):
+        assert main(argv + extra) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "reproducible noise: NOT private" in captured.err
+        # the first stdout line keeps its machine-readable shape
+        first = captured.out.splitlines()[0]
+        assert re.match(r"^mechanism=\S+ epsilon=\S+ value=\S+ clip=(.*)$", first)
 
 
 def test_estimate_show_aggregates(pair_csv, capsys):

@@ -18,6 +18,7 @@ from bezier_dp import (
     load_csv_dataset,
     moment_release_mse,
     parse_distribution,
+    prepare,
     resolve_mechanism,
     run_benchmark,
     run_estimate,
@@ -311,15 +312,51 @@ def test_run_benchmark_deterministic_and_seed_sensitive():
     assert a.rows[0].mse != c.rows[0].mse
 
 
+_STATISTIC_CONFIGS = {
+    "variance": dict(mechanisms=["swap", "naive", "improved", "bezier", "via_cov", "transformed"]),
+    "covariance": dict(statistic="covariance", mechanisms=["swap", "naive", "improved", "bezier"]),
+    "correlation": dict(
+        statistic="correlation",
+        mechanisms=["bezier", "composed", "naive"],
+        distribution="correlated",
+        dist_param=0.5,
+    ),
+    "moment": dict(statistic="moment", mechanisms=["moment"], moment_k=3, moment_j=1),
+}
+
+
 def test_run_benchmark_thread_invariance():
-    kw = dict(
-        mechanisms=["bezier", "naive_var"], epsilons=[0.5, 1.0], n=40, trials=64
-    )
-    serial = run_benchmark(_cfg(**kw, threads=1), keep_trial_errors=True)
-    threaded = run_benchmark(_cfg(**kw, threads=4), keep_trial_errors=True)
-    assert set(serial.trial_errors) == set(threaded.trial_errors)
-    for key in serial.trial_errors:
-        assert np.array_equal(serial.trial_errors[key], threaded.trial_errors[key])
+    # thread counts change the trial blocks; per-trial errors must not move
+    for name, stat_kw in _STATISTIC_CONFIGS.items():
+        for fixed in (True, False):
+            kw = dict(stat_kw, epsilons=[0.5, 1.0], n=40, trials=64, fixed_data=fixed)
+            serial = run_benchmark(_cfg(**kw, threads=1), keep_trial_errors=True)
+            for threads in (2, 8):
+                threaded = run_benchmark(_cfg(**kw, threads=threads), keep_trial_errors=True)
+                assert set(serial.trial_errors) == set(threaded.trial_errors)
+                for key in serial.trial_errors:
+                    assert np.array_equal(
+                        serial.trial_errors[key], threaded.trial_errors[key]
+                    ), (name, fixed, threads, key)
+
+
+def test_run_benchmark_matches_per_trial_releases():
+    # the block engine reproduces a release per (trial, epsilon) on the
+    # trial's own substream, fresh-data mode included
+    for name, stat_kw in _STATISTIC_CONFIGS.items():
+        for fixed in (True, False):
+            cfg = _cfg(**dict(stat_kw, epsilons=[0.5, 1.0], n=30, trials=5, fixed_data=fixed))
+            report = run_benchmark(cfg, keep_trial_errors=True)
+            norm = cfg.normalized()
+            kw = {"moment_k": norm.moment_k, "moment_j": norm.moment_j}
+            for t in range(norm.trials):
+                data_seed = derive_seed(norm.base_seed, t if not fixed else 0, DATA_CHANNEL)
+                data = generate_dataset(norm, data_seed)
+                for ch, mid in enumerate(norm.mechanisms):
+                    prep = prepare(mid, data, **kw)
+                    for eps in norm.epsilons:
+                        diff = prep.run_value(eps, derive_substream(0, t, ch)) - prep.exact_value
+                        assert report.trial_errors[(mid, eps)][t] == diff * diff, (name, mid, t)
 
 
 def test_thread_resolution(monkeypatch):
@@ -465,6 +502,18 @@ def test_run_estimate(tmp_path):
     a = run_estimate(str(p), "transformed", 0.5, seed=11)
     b = run_estimate(str(p), "transformed", 0.5, seed=11)
     assert a.value == b.value
+
+
+def test_run_estimate_private_by_default(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("0.2\n0.4\n0.9\n")
+    # the noisy aggregates are continuous and never clipped
+    first = run_estimate(str(p), "bezier", 1.0).noisy_aggregates
+    second = run_estimate(str(p), "bezier", 1.0).noisy_aggregates
+    assert first != second
+    seeded = [run_estimate(str(p), "bezier", 1.0, seed=5).noisy_aggregates for _ in range(2)]
+    assert seeded[0] == seeded[1]
+    assert seeded[0] != first
 
 
 def test_run_estimate_moment_syntax(tmp_path):

@@ -12,6 +12,7 @@ from bezier_dp import (
     Dataset,
     DomainError,
     MECHANISM_IDS,
+    NoiseRows,
     NoiseSource,
     ReplayExhaustedError,
     UndefinedStatisticError,
@@ -24,10 +25,12 @@ from bezier_dp import (
     correlation_naive,
     correlation_statistic,
     covariance_exact,
+    derive_seeds,
     derive_substream,
     general_statistic,
     improved_add_remove,
     kurtosis_statistic,
+    laplace_rows,
     moments_unnormalized,
     naive_add_remove,
     prepare,
@@ -425,6 +428,66 @@ def test_run_and_run_value_agree_on_same_substream():
 
 
 # ---------------------------------------------------------------------------
+# array kernels: a block of trials releases what a per-trial loop releases
+# ---------------------------------------------------------------------------
+
+def _kernel_cases():
+    rng = np.random.default_rng(107)
+    uni = Dataset(rng.uniform(0.0, 1.0, 5))  # tiny n: noise often hits the clips
+    biv = Dataset(rng.uniform(0.0, 1.0, (5, 2)))
+    cases = []
+    for mid in _VARCOV_IDS + _CORR_IDS:
+        two_col = mid in _CORR_IDS or ("covariance" in mid and mid != "variance_via_covariance")
+        cases.append((mid, biv if two_col else uni, {}))
+    cases.append(("moment_release", uni, {"moment_k": 4, "moment_j": 2}))
+    return cases
+
+
+@pytest.mark.parametrize("mid, data, kw", _kernel_cases(), ids=[c[0] for c in _kernel_cases()])
+def test_kernel_blocks_match_per_trial_releases(mid, data, kw):
+    prep = prepare(mid, data, **kw)
+    seed, channel, first = 31, 5, 3
+    for eps in (0.1, 1.0):
+        want = np.array(
+            [prep.run_value(eps, derive_substream(seed, t, channel)) for t in range(first, first + 1000)]
+        )
+        for block in (1, 7, 64, 1000):
+            trials = np.arange(first, first + block)
+            unit = laplace_rows(derive_seeds(seed, trials, channel), prep.cells)
+            assert np.array_equal(prep.kernel(unit * prep.scale(eps)), want[:block]), (eps, block)
+            assert np.array_equal(prep.run_value(eps, NoiseRows(unit)), want[:block])
+    zero = prep.run_value(1.0, NoiseSource.zero())
+    for block in (1, 7, 64, 1000):
+        got = prep.kernel(np.zeros((block, prep.cells)))
+        assert np.array_equal(got, np.full(block, zero))
+
+
+def test_kernel_cases_cover_every_mechanism():
+    assert {c[0] for c in _kernel_cases()} == set(MECHANISM_IDS)
+
+
+def test_kernel_mixes_degenerate_and_regular_rows():
+    rows = [[-1.0, -1.0, -1.0], [0.1, 0.2, 0.3], [0.0, -2.8, 0.0], [-2.0, 0.0, 0.0]]
+    prep = prepare("bezier_variance", X3)
+    want = [bezier_variance(X3, 1.0, NoiseSource.replay(r)).value for r in rows]
+    assert prep.kernel(np.array(rows)).tolist() == want
+    flat = Dataset([[0.5, 0.2], [0.5, 0.8]])  # zero x-variance
+    for mid in _CORR_IDS:
+        prep = prepare(mid, flat)
+        z = np.vstack([np.zeros(prep.cells), np.full(prep.cells, 0.05)])
+        want = [prep.run_value(1.0, NoiseSource.replay(row)) for row in z]
+        assert prep.kernel(z).tolist() == want, mid
+
+
+def test_kernel_rejects_wrong_cell_count():
+    prep = prepare("bezier_variance", X3)
+    assert prep.cells == 3 and prep.scale(0.5) == 1.0 / 0.5
+    with pytest.raises(DomainError):
+        prep.kernel(np.zeros((4, 2)))
+    assert prepare("correlation_composed", PAIRS3).scale(0.3) == 1.0 / (0.3 / 3.0)
+
+
+# ---------------------------------------------------------------------------
 # privacy smoke test: frequency ratios on neighboring datasets
 # ---------------------------------------------------------------------------
 
@@ -445,11 +508,10 @@ def test_release_distribution_respects_privacy_ratio():
     def bin_counts(data, seed):
         rel = prepare_moment_release(data, 1, 1)
         src = NoiseSource.seeded(seed)
-        counts = np.zeros((2, 2), dtype=np.int64)
-        for _ in range(trials):
-            noisy = rel.release_full(eps, src)[1]
-            counts[int(noisy[0] >= edges[0]), int(noisy[1] >= edges[1])] += 1
-        return counts / trials
+        noise = src.laplace_vector(rel.scale(eps), trials * rel.cells)
+        noisy = rel.kernel(noise.reshape(trials, rel.cells))[1]
+        cell = 2 * (noisy[:, 0] >= edges[0]) + (noisy[:, 1] >= edges[1])
+        return np.bincount(cell, minlength=4).reshape(2, 2) / trials
 
     p_one = bin_counts(Dataset([0.3]), 20_260_825)
     p_empty = bin_counts(Dataset.empty(1), 825_602_02)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from bezier_dp import (
+    DATA_CHANNEL,
     DomainError,
+    NoiseRows,
     NoiseSource,
     ReplayExhaustedError,
     derive_seed,
+    derive_seeds,
     derive_substream,
+    laplace_rows,
     laplace_sample,
 )
 
@@ -155,6 +159,50 @@ def test_derive_seed_regression_and_validation():
         derive_seed(0, -1, 0)
     with pytest.raises(DomainError):
         derive_seed(0, 0, -2)
+
+
+def test_derive_seeds_matches_scalar_reference():
+    trials = np.array([0, 1, 2**32, 2**63], dtype=np.uint64)
+    for base in (0, -1, 2**64 + 5):
+        for channel in (0, 12, DATA_CHANNEL):
+            got = derive_seeds(base, trials, channel)
+            assert got.dtype == np.uint64
+            want = [derive_seed(base, int(t), channel) for t in trials]
+            assert [int(v) for v in got] == want, (base, channel)
+    assert derive_seeds(3, np.arange(0), 1).shape == (0,)
+    for bad_trials, bad_channel in (([-1], 0), ([0.5], 0), ([0], -1)):
+        with pytest.raises(DomainError):
+            derive_seeds(0, bad_trials, bad_channel)
+
+
+def test_laplace_rows_match_per_stream_draws():
+    seeds = derive_seeds(17, np.arange(50), 3)
+    unit = laplace_rows(seeds, 9)
+    assert unit.shape == (50, 9)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(unit[i], NoiseSource.seeded(int(seed)).laplace_vector(1.0, 9))
+        # scaling the unit row reproduces a scaled draw bit for bit
+        scaled = NoiseSource.seeded(int(seed)).laplace_vector(0.7, 9)
+        assert np.array_equal(unit[i] * 0.7, scaled)
+    # single scalar draws agree too
+    short = laplace_rows(seeds[:5], 2)
+    for i, seed in enumerate(seeds[:5]):
+        src = NoiseSource.seeded(int(seed))
+        assert short[i].tolist() == [src.laplace(1.0), src.laplace(1.0)]
+
+
+def test_noise_rows_playback():
+    unit = laplace_rows(derive_seeds(1, np.arange(4), 0), 5)
+    rows = NoiseRows(unit)
+    assert np.array_equal(rows.laplace_vector(2.0, 3), unit[:, :3] * 2.0)
+    assert rows.draws == 3
+    assert np.array_equal(rows.laplace_vector(1.0, 2), unit[:, 3:])
+    with pytest.raises(ReplayExhaustedError):
+        rows.laplace_vector(1.0, 1)
+    with pytest.raises(DomainError):
+        rows.laplace_vector(0.0, 0)
+    with pytest.raises(DomainError):
+        NoiseRows(np.zeros(3))
 
 
 def test_derive_seed_collision_free_on_grid():
