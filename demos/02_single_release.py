@@ -58,7 +58,7 @@ def main():
     banner("Full coefficient release (degree 2)")
     rel = bd.prepare_moment_release(data, 2)
     exact = bd.moments_unnormalized(data, 2)
-    noisy = rel.release(1.0, bd.NoiseSource.seeded(13))
+    noisy = rel.run_value(1.0, bd.NoiseSource.seeded(13))
     for j in range(3):
         print(
             f"  sum x^{j}: private {noisy[j]:>12.6f}   exact {exact[j]:>12.6f}"

@@ -125,13 +125,6 @@ def matrix_to_float(mat: tuple[tuple[Fraction, ...], ...]) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in mat], dtype=np.float64)
 
 
-@lru_cache(maxsize=None)
-def _inverse_float(k: int) -> np.ndarray:
-    arr = matrix_to_float(bezier_inverse(k))
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_dims(k: int, d) -> tuple[int, int]:
     k = _check_degree(k)
     if not isinstance(d, (int, np.integer)) or int(d) < 1:
@@ -201,34 +194,96 @@ def bernstein_aggregate(values: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
-def tensor_apply_inverse(k: int, d: int, vec: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None, typed=True)
+def _program(k, d, inverse: bool):
+    """Validated cell count of (k, d), and the sums that apply M^-1 (or M).
+
+    One pass per tensor mode.  A pass lists, per matrix row j, the index of
+    the output slice j along that mode, its first term and the rest, each
+    an (input slice index, coefficient) pair over the row's nonzero entries;
+    a first term with coefficient None holds two unit terms that one call
+    adds.  `typed` gives a float or bool degree its own entry, so it is
+    validated like any other.
+    """
+    k, d = _check_dims(k, d)
+    mat = bezier_inverse(k) if inverse else bezier_matrix(k)
+    passes = []
+    for axis in range(d):
+        pick = (slice(None),) * axis
+        rows = []
+        for j, row in enumerate(mat):
+            terms = [(pick + (l,), float(v)) for l, v in enumerate(row) if v]
+            first = terms.pop(0)
+            if first[1] == 1.0 and terms and terms[0][1] == 1.0:
+                first = ((first[0], terms.pop(0)[0]), None)
+            rows.append((pick + (j, ...), first, terms))
+        passes.append(rows)
+    return (k + 1) ** d, passes
+
+
+def _tensor_apply(k: int, d: int, vec, inverse: bool, offset=None) -> np.ndarray:
+    cells, passes = _program(k, d, inverse)
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.ndim == 0 or vec.shape[-1] != cells:
+        raise DomainError(
+            f"vector length {vec.shape[-1] if vec.ndim else 1} does not match "
+            f"(k+1)^d = {cells}"
+        )
+    lead = vec.shape[:-1]
+    shape = (k + 1,) * d + lead
+    # cells first, rows last (a view, no copy): each output slice below is
+    # then contiguous in the rows
+    t = vec.T if len(lead) <= 1 else np.moveaxis(vec, -1, 0)
+    if d > 1:
+        t = t.reshape(shape)
+    if offset is not None:
+        # one offset per output slice of the last pass: a 0-d array for d=1
+        # (the cheapest operand), else broadcast along the rows
+        keep = (1,) * len(lead) if d > 1 else ()
+        offset = np.asarray(offset, dtype=np.float64).reshape((k + 1,) * d + keep)
+    for p, rows in enumerate(passes, start=1 - len(passes)):
+        off = offset if p == 0 else None
+        out = np.empty(shape)
+        for dst, (src, c), rest in rows:
+            acc = out[dst]
+            if c is None:
+                np.add(t[src[0]], t[src[1]], acc)
+            elif c != 1.0:
+                np.multiply(t[src], c, acc)
+            elif rest or off is None:
+                np.copyto(acc, t[src])
+            else:  # a lone unit term: one call adds it to the offset
+                np.add(t[src], off[dst], acc)
+                continue
+            for src, c in rest:
+                np.add(acc, t[src] if c == 1.0 else c * t[src], acc)
+            if off is not None:
+                np.add(acc, off[dst], acc)
+        t = out
+    if d > 1:
+        t = t.reshape((cells,) + lead)
+    return t.T if len(lead) <= 1 else np.moveaxis(t, 0, -1)
+
+
+def tensor_apply_inverse(k: int, d: int, vec: np.ndarray, offset=None) -> np.ndarray:
     """Apply the inverse basis change along every tensor mode of flat vectors.
 
     Maps (possibly noisy) Bernstein aggregates, shape (..., (k+1)^d), to the
     corresponding unnormalized mixed power sums, without ever materializing
     the (k+1)^d x (k+1)^d Kronecker matrix.  Each output is a sum of
-    elementwise products accumulated in a fixed order (no BLAS), so a row's
-    result does not depend on how many rows are passed with it.
+    elementwise products accumulated in a fixed order (no BLAS; products
+    with an entry of exactly 1 are skipped, which changes no bit), so a
+    row's result does not depend on how many rows are passed with it.
+
+    `offset`, a vector of length (k+1)^d, is added to every row's result
+    as its last step: ``offset + M^-1 vec``, the noisy power sums of a
+    release whose exact sums are `offset` and whose basis noise is `vec`.
     """
-    k, d = _check_dims(k, d)
-    vec = np.asarray(vec, dtype=np.float64)
-    m = k + 1
-    if vec.ndim == 0 or vec.shape[-1] != m**d:
-        raise DomainError(
-            f"vector length {vec.shape[-1] if vec.ndim else 1} does not match "
-            f"(k+1)^d = {m**d}"
-        )
-    inv = _inverse_float(k)
-    lead = vec.shape[:-1]
-    # cells first, rows last: every slice below is contiguous in the rows
-    t = np.ascontiguousarray(np.moveaxis(vec, -1, 0)).reshape((m,) * d + lead)
-    for axis in range(d):
-        cols = [t[(slice(None),) * axis + (l,)] for l in range(m)]
-        rows = []
-        for j in range(m):  # the inverse is upper triangular
-            acc = inv[j, j] * cols[j]
-            for l in range(j + 1, m):
-                acc = acc + inv[j, l] * cols[l]
-            rows.append(acc)
-        t = np.stack(rows, axis=axis)
-    return np.moveaxis(t.reshape((m**d,) + lead), 0, -1)
+    return _tensor_apply(k, d, vec, True, offset)
+
+
+def tensor_apply_bezier(k: int, d: int, vec: np.ndarray) -> np.ndarray:
+    """The forward basis change M along every tensor mode: power sums to
+    Bernstein aggregates, in the same layout and summation order as
+    `tensor_apply_inverse`."""
+    return _tensor_apply(k, d, vec, False)

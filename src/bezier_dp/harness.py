@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .mechanisms import prepare
+from .mechanisms import REGISTRY, prepare
 from .noise import (
     NoiseRows,
     NoiseSource,
@@ -45,79 +45,50 @@ DATA_CHANNEL = 1_000_003
 # 10 cells then stays near 5 MB.
 _BLOCK_TRIALS = 1 << 16
 
-_STAT_DIM = {"variance": 1, "moment": 1, "covariance": 2, "correlation": 2}
+# Statistics the registry's mechanisms estimate.
+_STATISTICS = sorted({spec.statistic for spec in REGISTRY.values()})
 
-_COMPAT = {
-    "variance": (
-        "swap_variance",
-        "naive_variance",
-        "improved_variance",
-        "bezier_variance",
-        "variance_via_covariance",
-        "transformed_variance",
-    ),
-    "covariance": (
-        "swap_covariance",
-        "naive_covariance",
-        "improved_covariance",
-        "bezier_covariance",
-    ),
-    "correlation": ("correlation_bezier", "correlation_composed", "correlation_naive"),
-    "moment": ("moment_release",),
-}
 
-# Short names accepted anywhere a mechanism id is; the stat-dependent ones
-# resolve against the configured statistic.
-_PLAIN_ALIASES = {
-    "naive_var": "naive_variance",
-    "naive_cov": "naive_covariance",
-    "improved_var": "improved_variance",
-    "improved_cov": "improved_covariance",
-    "bezier_var": "bezier_variance",
-    "bezier_cov": "bezier_covariance",
-    "via_cov": "variance_via_covariance",
-    "transformed": "transformed_variance",
-    "transformed_var": "transformed_variance",
-    "swap_var": "swap_variance",
-    "swap_cov": "swap_covariance",
-    "composed": "correlation_composed",
-    "moment": "moment_release",
-}
-_STAT_ALIASES = {
-    "swap": {"variance": "swap_variance", "covariance": "swap_covariance"},
-    "naive": {
-        "variance": "naive_variance",
-        "covariance": "naive_covariance",
-        "correlation": "correlation_naive",
-    },
-    "improved": {"variance": "improved_variance", "covariance": "improved_covariance"},
-    "bezier": {
-        "variance": "bezier_variance",
-        "covariance": "bezier_covariance",
-        "correlation": "correlation_bezier",
-    },
-}
+def _records(statistic: str) -> list:
+    found = [spec for spec in REGISTRY.values() if spec.statistic == statistic]
+    if not found:
+        raise ConfigError(f"unknown statistic {statistic!r}")
+    return found
 
 
 def resolve_mechanism(name: str, statistic: str) -> str:
-    """Map a mechanism name or alias to its canonical id for a statistic."""
-    if statistic not in _COMPAT:
-        raise ConfigError(f"unknown statistic {statistic!r}")
-    if name in _STAT_ALIASES:
-        table = _STAT_ALIASES[name]
-        if statistic not in table:
-            raise ConfigError(
-                f"alias {name!r} has no {statistic} form; use one of "
-                f"{', '.join(_COMPAT[statistic])}"
-            )
-        return table[statistic]
-    canonical = _PLAIN_ALIASES.get(name, name)
-    if canonical not in _COMPAT[statistic]:
-        raise ConfigError(
-            f"mechanism {name!r} does not estimate {statistic}; choose from "
-            f"{', '.join(_COMPAT[statistic])}"
-        )
-    return canonical
+    """Map a mechanism name or alias to its canonical id for a statistic.
+
+    Plain aliases (``naive_cov``, ``composed``, ...) name one id; a family
+    alias (``bezier``, ``naive``, ``swap``, ``improved``) names the family's
+    member for the statistic.
+    """
+    records = _records(statistic)
+    for spec in records:
+        if name in (spec.id, spec.family) or name in spec.aliases:
+            return spec.id
+    choices = ", ".join(spec.id for spec in records)
+    if any(spec.family == name for spec in REGISTRY.values()):
+        raise ConfigError(f"alias {name!r} has no {statistic} form; use one of {choices}")
+    raise ConfigError(
+        f"mechanism {name!r} does not estimate {statistic}; choose from {choices}"
+    )
+
+
+def _resolve_for_data(name: str, d: int) -> str:
+    """Id for a mechanism name or alias given d-column data (the `estimate` path).
+
+    Plain aliases name one id.  A family alias takes the form for the first
+    statistic, in registry order, of d-column data: variance for one column,
+    covariance for two.  Unknown names pass through for `prepare` to reject.
+    """
+    for statistic in dict.fromkeys(spec.statistic for spec in REGISTRY.values()):
+        if statistic_dimension(statistic) == d:
+            try:
+                return resolve_mechanism(name, statistic)
+            except ConfigError:
+                pass
+    return name
 
 
 @dataclass
@@ -144,9 +115,9 @@ class ExperimentConfig:
     def normalized(self) -> "ExperimentConfig":
         """Validated copy with canonical mechanism ids (raises ConfigError)."""
         cfg = dataclasses.replace(self)
-        if cfg.statistic not in _STAT_DIM:
+        if cfg.statistic not in _STATISTICS:
             raise ConfigError(
-                f"statistic must be one of {sorted(_STAT_DIM)}, got {cfg.statistic!r}"
+                f"statistic must be one of {_STATISTICS}, got {cfg.statistic!r}"
             )
         if not cfg.mechanisms:
             raise ConfigError("at least one mechanism is required")
@@ -189,7 +160,7 @@ class ExperimentConfig:
                 )
             cfg.dist_param = float(cfg.dist_param)
         if cfg.distribution == "correlated":
-            if _STAT_DIM[cfg.statistic] != 2:
+            if statistic_dimension(cfg.statistic) != 2:
                 raise ConfigError("correlated data needs a two-column statistic")
             if cfg.dist_param is None or not 0.0 <= float(cfg.dist_param) <= 1.0:
                 raise ConfigError(
@@ -251,10 +222,7 @@ def parse_distribution(text: str) -> tuple[str, float | None, str | None]:
 
 
 def statistic_dimension(statistic: str) -> int:
-    try:
-        return _STAT_DIM[statistic]
-    except KeyError:
-        raise ConfigError(f"unknown statistic {statistic!r}") from None
+    return _records(statistic)[0].d
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +629,10 @@ def run_estimate(
             moment_k, moment_j = int(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError("moment mechanism syntax is moment:K:J") from None
-        name = "moment_release"
-    elif mechanism in _STAT_ALIASES or mechanism in _PLAIN_ALIASES:
-        stat = "variance" if data.d == 1 else "covariance"
-        name = resolve_mechanism(mechanism, stat)
+        name = "moment"
+    name = _resolve_for_data(name, data.d)
+    if moment_k is None and name in REGISTRY and REGISTRY[name].params is not None:
+        raise ConfigError("moment mechanism syntax is moment:K:J")
     if noise == "zero":
         src = NoiseSource.zero()
     elif seed is None:

@@ -13,31 +13,53 @@ fixed, public record count.  Budgets:
   * ``transformed_*``      two-cell variant releasing (n - u, u), u = n * var;
   * ``correlation_*``      pipelines post-processing the above.
 
-Construction is split into a prepare step (aggregates of the dataset, done
-once) and a release step.  A prepared mechanism is described by its number
-of Laplace cells, the noise scale `scale(eps)`, and one array kernel that
-maps noise at that scale, shape (..., cells), to released values, shape
-(...).  A single release draws one row from its source; a Monte Carlo block
-passes a (trials, cells) matrix (see `noise.NoiseRows`).  Kernels are
-elementwise in the trials axis and never call BLAS, so a trial's value does
-not depend on how many trials share the call.  Running any mechanism with a
-zero noise source reproduces the exact statistic bit for bit, because the
-noisy path adds explicit zero noise to the same float aggregates and then
-executes the same ratio/clip kernels as the exact path.
+Each mechanism id is one `Spec` record in `REGISTRY`; `prepare`, the
+release functions, the Monte Carlo engine, the predictions in `theory` and
+alias resolution in the harness all read it there.  A record holds:
+
+  * its statistic, data dimension d, plain aliases and a family name
+    (``bezier``, ``naive``, ...) that resolves per statistic;
+  * ``sums(data, exact)``: the exact sums s the mechanism perturbs;
+  * ``cells`` Laplace draws z per release, each at scale ``c / (eps / split)``;
+  * a fixed noise map L from z to offsets of s: the identity, or (``basis``)
+    the inverse Bernstein basis change M^-1 of degree k in dimension d --
+    adding z to the basis aggregate M s adds M^-1 z to the power sums s;
+  * ``post(s, x)``, the released statistic, clipped to ``clip``: x is the
+    noisy sums s + L z, or L z alone for a ``shift`` record (swap, improved
+    and transformed release their exact value plus a noise term);
+  * the exact statistic, the normalized-MSE prediction, and ``keys``, the
+    audit-trail names of entries of s + L z.
+
+A composed record (``parts``) instead releases several records side by side
+on one draw vector, and ``post`` combines their values.
+
+`prepare` binds a record to a dataset.  Its kernel maps noise at
+`scale(eps)`, shape (..., cells), to released values, shape (...): one row
+for a single release, a (trials, cells) block for Monte Carlo (see
+`noise.NoiseRows`).  Kernels are elementwise in the trials axis and never
+call BLAS, so a trial's value does not depend on how many trials share the
+call.  With zero noise every variance and covariance mechanism reproduces
+the exact statistic bit for bit: s holds the float sums the exact
+statistic is computed from, L maps zero noise to zeros, and ``post`` runs
+the same ratio kernels.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .bernstein import (
-    bernstein_aggregate,
-    multi_indices,
-    tensor_apply_inverse,
     _check_dims,
+    bernstein_aggregate,  # noqa: F401  (traced under this name by perfbench/spans.py)
+    multi_indices,
+    tensor_apply_bezier,
+    tensor_apply_inverse,
 )
 from .errors import DomainError, UndefinedStatisticError
 from .noise import NoiseSource
@@ -58,9 +80,19 @@ from .stats import (
     standardized_moment,
     variance_exact,
 )
+from .theory import (
+    basis_variance_mse,
+    bezier_covariance_mse,
+    improved_covariance_mse,
+    improved_variance_mse,
+    moment_release_mse,
+    naive_covariance_mse,
+    naive_variance_mse,
+    swap_mse,
+)
 
 # Noisy counts closer to zero than this are treated as degenerate: the
-# mechanism returns the midpoint of its clip range instead of dividing.
+# mechanism returns a fallback value instead of dividing.
 _TINY_COUNT = 1e-9
 # Product of noisy variances below this makes a correlation ratio meaningless.
 _TINY_VARPROD = 1e-12
@@ -68,17 +100,50 @@ _TINY_VARPROD = 1e-12
 
 @dataclass(frozen=True)
 class Estimate:
-    """One private release: the value plus its audit trail."""
+    """One private release: the value (a float, or the power-sum vector of
+    `prepare_moment_release`) plus its audit trail."""
 
-    value: float
+    value: float | np.ndarray
     mechanism_id: str
     epsilon: float
     clip_applied: ClipRange | None
     noisy_aggregates: dict[str, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Spec:
+    """The registry record of one mechanism (see the module docstring)."""
+
+    id: str
+    statistic: str | None  # None for releases outside the registry
+    d: int
+    sums: Callable | None = None  # (data, exact value or None) -> s
+    post: Callable | None = None  # (s, x) -> unclipped values, x as in `_release`
+    shift: bool = False  # post reads s and L z apart, not the noisy sums s + L z
+    clip: ClipRange | None = None
+    exact: Callable | None = None  # data -> exact statistic
+    cells: int | None = None  # derived for basis and composed records
+    c: float = 1.0
+    split: float = 1.0
+    basis: tuple[int, int] | None = None  # (k, d) of the M^-1 noise map
+    # audit trail: (name, index into s + L z); index None names the
+    # unclipped value, and a composed record's indices pick part values
+    keys: tuple = ()
+    parts: tuple = ()  # (record, data column or None for all columns)
+    predict: Callable | None = None  # (data, eps) -> normalized MSE
+    aliases: tuple[str, ...] = ()
+    family: str | None = None
+    params: Callable | None = None  # (record, moment_k, moment_j) -> record
+
+    def __post_init__(self):
+        if self.basis is not None:
+            object.__setattr__(self, "cells", (self.basis[0] + 1) ** self.basis[1])
+        elif self.parts:
+            object.__setattr__(self, "cells", sum(p.cells for p, _ in self.parts))
+
+
 class PreparedMechanism:
-    """A mechanism bound to one dataset: `cells`, `scale(eps)` and a kernel.
+    """A registry record bound to one dataset: `cells`, `scale(eps)` and a kernel.
 
     `kernel(noise)` maps Laplace noise already at `scale(eps)`, shape
     (..., cells), to released values, shape (...).  `run_value` and `run`
@@ -87,19 +152,31 @@ class PreparedMechanism:
     one value per row.
     """
 
-    __slots__ = ("mechanism_id", "clip_range", "exact_value", "cells", "_scale", "_kernel")
+    __slots__ = ("spec", "exact_value", "cells", "_sums", "_parts")
 
-    def __init__(self, mechanism_id, clip_range, exact_value, cells, scale, kernel):
-        self.mechanism_id = mechanism_id
-        self.clip_range = clip_range
-        self.exact_value = exact_value
-        self.cells = cells
-        self._scale = scale
-        self._kernel = kernel
+    def __init__(self, spec: Spec, data: Dataset):
+        if data.d != spec.d:
+            raise DomainError(f"{spec.id} needs d={spec.d} data, got d={data.d}")
+        self.spec = spec
+        self.exact_value = None if spec.exact is None else _try_exact(spec.exact, data)
+        self.cells = spec.cells
+        self._sums = None if spec.sums is None else spec.sums(data, self.exact_value)
+        self._parts = [
+            PreparedMechanism(p, data if col is None else data.univariate(col))
+            for p, col in spec.parts
+        ]
+
+    @property
+    def mechanism_id(self) -> str:
+        return self.spec.id
+
+    @property
+    def clip_range(self) -> ClipRange | None:
+        return self.spec.clip
 
     def scale(self, eps: float) -> float:
         """Laplace scale b of every cell at budget eps."""
-        return self._scale(_check_eps(eps))
+        return self.spec.c / (_check_eps(eps) / self.spec.split)
 
     def kernel(self, noise):
         """Released values for noise rows of shape (..., cells)."""
@@ -109,26 +186,75 @@ class PreparedMechanism:
                 f"{self.mechanism_id} needs noise with {self.cells} cell(s) per row, "
                 f"got shape {z.shape}"
             )
-        return self._kernel(z, False)[0]
+        return self._release(z)[0]
+
+    def _release(self, z):
+        """(released values, unclipped values, x) for noise rows z.
+
+        x is indexed cells first (x[i]: cell i of every row): the noisy sums
+        s + L z, or L z alone for a shift record, or a composed record's
+        part values.
+        """
+        spec, s = self.spec, self._sums
+        if self._parts:
+            x, a = [], 0
+            for part in self._parts:
+                x.append(part._release(z[..., a : a + part.cells])[0])
+                a += part.cells
+        elif spec.basis is not None:
+            x = _cells_first(tensor_apply_inverse(*spec.basis, z, None if spec.shift else s))
+        elif spec.shift:
+            x = _cells_first(z)
+        else:
+            zc = _cells_first(z)
+            x = [s[i] + zc[i] for i in range(self.cells)]
+        raw = spec.post(s, x)
+        return (raw if spec.clip is None else _clip(raw, spec.clip)), raw, x
+
+    def _trail(self, z, raw, x) -> dict:
+        """Noisy basis cells M s + z, then the record's named quantities."""
+        spec, s = self.spec, self._sums
+        trail = {}
+        if spec.basis is not None:
+            k, d = spec.basis
+            b = tensor_apply_bezier(k, d, s[: self.cells]) + z
+            trail.update(zip((_agg_key("b", a) for a in multi_indices(k, d)), b))
+        for name, i in spec.keys:
+            trail[name] = raw if i is None else s[i] + x[i] if spec.shift else x[i]
+        return trail
 
     def _draw(self, eps, source):
         return source.laplace_vector(self.scale(eps), self.cells)
 
     def run_value(self, eps: float, source):
         """Just the released value (a float; an array for `NoiseRows`)."""
-        val, _ = self._kernel(self._draw(eps, source), False)
-        return float(val) if np.ndim(val) == 0 else val
+        return _as_value(self._release(self._draw(eps, source))[0])
 
     def run(self, eps: float, source: NoiseSource) -> Estimate:
         eps = _check_eps(eps)
-        val, aggs = self._kernel(self._draw(eps, source), True)
+        z = self._draw(eps, source)
+        val, raw, x = self._release(z)
         return Estimate(
-            value=float(val),
+            value=_as_value(val),
             mechanism_id=self.mechanism_id,
             epsilon=eps,
             clip_applied=self.clip_range,
-            noisy_aggregates={k: float(v) for k, v in aggs.items()},
+            noisy_aggregates={k: float(v) for k, v in self._trail(z, raw, x).items()},
         )
+
+
+def _as_value(val):
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _cells_first(a):
+    """(..., cells) -> (cells, ...), a view."""
+    return a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)
+
+
+def _rows_last(a):
+    """(cells, ...) -> (..., cells), a view."""
+    return a.T if a.ndim <= 2 else np.moveaxis(a, 0, -1)
 
 
 def _check_eps(eps) -> float:
@@ -143,12 +269,6 @@ def _try_exact(fn, data):
         return fn(data)
     except UndefinedStatisticError:
         return None
-
-
-def _check_stat(stat: str) -> str:
-    if stat not in ("variance", "covariance"):
-        raise DomainError(f"stat must be 'variance' or 'covariance', got {stat!r}")
-    return stat
 
 
 def _clip(x, rng: ClipRange):
@@ -178,29 +298,291 @@ def _ratio_guard(num, den, ok):
     return np.where(ok, num / np.sqrt(np.where(ok, den, 1.0)), 0.0)
 
 
+def _agg_key(prefix: str, alpha: tuple[int, ...]) -> str:
+    if len(alpha) == 1:
+        return f"{prefix}_{alpha[0]}~"
+    return f"{prefix}_{{{','.join(str(a) for a in alpha)}}}~"
+
+
+_UNCLIPPED = (("stat~", None),)
+
+
+def _keys(names: str, order=None) -> tuple:
+    """Audit-trail keys: each name with its index (default: its position)."""
+    names = names.split()
+    return tuple(zip(names, range(len(names)) if order is None else order))
+
+
 # ---------------------------------------------------------------------------
-# swap-model baseline
+# sums and post-processing kernels
 # ---------------------------------------------------------------------------
 
-def _prepare_swap(data: Dataset, stat: str, clip_output: bool) -> PreparedMechanism:
-    stat = _check_stat(stat)
-    if stat == "variance":
-        exact = variance_exact(data)  # raises for empty data: swap needs n >= 1
-        rng = VARIANCE_RANGE
-    else:
-        exact = covariance_exact(data)
-        rng = COVARIANCE_RANGE
+def _power_sums(data: Dataset, k: int, cells=None) -> np.ndarray:
+    """Exact mixed power sums in `multi_indices(k, d)` order (entry 0: count).
+
+    `cells` picks flat indices of that order (default: all).  One column:
+    `moments_unnormalized`.  Several: the powers x, x*x, ... of each column
+    multiplied left to right and summed, so k=1, d=2 gives (n, sum y,
+    sum x, sum x*y) with exactly the operations of `covariance_exact`.
+    """
+    if data.d == 1:
+        return moments_unnormalized(data, k)
+    powers = []
+    for col in range(data.d):
+        cur = [data.column(col)]
+        for _ in range(1, k):
+            cur.append(cur[-1] * cur[0])
+        powers.append(cur)
+    alphas = list(itertools.product(range(k + 1), repeat=data.d))
+    out = []
+    for i in range(len(alphas)) if cells is None else cells:
+        terms = [powers[col][a - 1] for col, a in enumerate(alphas[i]) if a]
+        if not terms:
+            out.append(float(data.n))
+            continue
+        prod = terms[0]
+        for t in terms[1:]:
+            prod = prod * t
+        out.append(np.sum(prod))
+    return np.array(out)
+
+
+def _ratio_post(ratio, idx, fallback: float):
+    """post(s, mu) = ratio(count, *sums) of the noisy sums mu[i], i in idx
+    (count first); rows with a degenerate noisy count release `fallback`."""
+
+    def post(s, mu):
+        count, *sums = [mu[i] for i in idx]
+        return _count_guard(count, fallback, lambda c: ratio(c, *sums))
+
+    return post
+
+
+def _correlation_ratio(c, sx, sy, sxx, syy, sxy):
+    vx = ratio_variance(c, sx, sxx)
+    vy = ratio_variance(c, sy, syy)
+    cv = ratio_covariance(c, sx, sy, sxy)
+    prod = vx * vy
+    return _ratio_guard(cv, prod, (vx > 0.0) & (vy > 0.0) & (prod > _TINY_VARPROD))
+
+
+# Positions of (n, sum x, sum y, sum xy) in the k=1, d=2 basis release and of
+# (n, sum x, sum y, sum x^2, sum y^2, sum xy) in the k=2, d=2 one.
+_BASIS_COV = (0, 2, 1, 3)
+_BASIS_CORR = (0, 3, 1, 6, 2, 4)
+_VARIANCE_POST = _ratio_post(ratio_variance, (0, 1, 2), _mid(VARIANCE_RANGE))
+_CORRELATION_POST = _ratio_post(_correlation_ratio, _BASIS_CORR, 0.0)
+
+
+def _swap_sums(data, exact):
+    if exact is None:
+        raise UndefinedStatisticError("the swap model needs a nonempty dataset")
+    return (exact, float(data.n))
+
+
+def _swap_post(s, lz):
+    exact, n = s
+    return exact + lz[0] / n
+
+
+def _shift_sums(data, exact):
+    """(n, u, v) with v the exact statistic (0 when undefined), u = n * v."""
     n = float(data.n)
+    v = exact if exact is not None else 0.0
+    return (n, n * v, v)
 
-    def _run(z, want):
-        noisy = exact + z[..., 0] / n
-        val = _clip(noisy, rng) if clip_output else noisy
-        return val, ({"stat~": noisy} if want else None)
 
-    return PreparedMechanism(
-        f"swap_{stat}", rng if clip_output else None, exact, 1, lambda eps: 1.0 / eps, _run
+def _shift_post(rng: ClipRange):
+    """(u + z_u) / (n + z_n), rewritten so zero noise returns v exactly."""
+
+    def post(s, lz):
+        n, _, v = s
+        z0, z1 = lz[0], lz[1]
+        return _count_guard(n + z0, _mid(rng), lambda c: v + (z1 - v * z0) / c)
+
+    return post
+
+
+def _all_sums(s, mu):
+    return _rows_last(mu)
+
+
+def _composed_post(_, values):
+    c, vx, vy = values
+    prod = vx * vy
+    return _ratio_guard(c, prod, prod > _TINY_VARPROD)
+
+
+def _basis_spec(k: int, d: int, **fields) -> Spec:
+    """A degree-k, dimension-d release of every mixed power sum.
+
+    Defaults: the sums are the data's own power sums and the audit trail
+    names every recovered sum ``mu_...~``; `fields` may override both.
+    """
+    k, d = _check_dims(k, d)
+    defaults = {
+        "d": d,
+        "sums": lambda data, exact: _power_sums(data, k),
+        "keys": tuple((_agg_key("mu", a), i) for i, a in enumerate(multi_indices(k, d))),
+    }
+    return Spec(basis=(k, d), **{**defaults, **fields})
+
+
+def _bind_moment(spec: Spec, k, j) -> Spec:
+    """The moment_release record for one degree k and power j."""
+    if k is None or j is None:
+        raise DomainError(f"{spec.id} needs moment_k and moment_j")
+    k, j = int(k), int(j)
+    _check_dims(k, 1)
+    if not 0 <= j <= k:
+        raise DomainError(f"moment order must lie in [0, {k}], got {j}")
+    return _basis_spec(
+        k, 1, id=spec.id, statistic=spec.statistic, aliases=spec.aliases,
+        post=lambda s, mu: mu[j],
+        exact=lambda data: float(moments_unnormalized(data, k)[j]),
+        predict=lambda data, eps: data.n**2 * moment_release_mse(k, j, eps),
     )
 
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+_BEZIER_VARIANCE = _basis_spec(
+    2, 1, id="bezier_variance", statistic="variance", family="bezier",
+    aliases=("bezier_var",), post=_VARIANCE_POST,
+    keys=_keys("n~ s_x~ s_x2~"), clip=VARIANCE_RANGE, exact=variance_exact,
+    predict=partial(basis_variance_mse, "bezier"),
+)
+_BEZIER_COVARIANCE = _basis_spec(
+    1, 2, id="bezier_covariance", statistic="covariance", family="bezier",
+    aliases=("bezier_cov",), post=_ratio_post(ratio_covariance, _BASIS_COV, 0.0),
+    keys=_keys("n~ s_x~ s_y~ s_xy~", _BASIS_COV), clip=COVARIANCE_RANGE,
+    exact=covariance_exact, predict=bezier_covariance_mse,
+)
+# the covariance release on a duplicated column, cov(x, x) = var(x), then
+# clamped to the variance range
+_VARIANCE_VIA_COVARIANCE = dataclasses.replace(
+    _BEZIER_COVARIANCE, id="variance_via_covariance", statistic="variance", d=1,
+    family=None, aliases=("via_cov",),
+    sums=lambda data, exact: moments_unnormalized(data, 2)[[0, 1, 1, 2]],
+    clip=VARIANCE_RANGE, exact=variance_exact,
+    predict=partial(basis_variance_mse, "via_covariance"),
+)
+# basis cells (n - u, u): the degree-1 basis release of (n, u)
+_TRANSFORMED_VARIANCE = _basis_spec(
+    1, 1, id="transformed_variance", statistic="variance",
+    aliases=("transformed", "transformed_var"), shift=True, sums=_shift_sums,
+    post=_shift_post(VARIANCE_RANGE), keys=_keys("n~ u~"), clip=VARIANCE_RANGE,
+    exact=variance_exact, predict=partial(basis_variance_mse, "transformed"),
+)
+_CORRELATION_BEZIER = _basis_spec(
+    2, 2, id="correlation_bezier", statistic="correlation", family="bezier",
+    post=_CORRELATION_POST, clip=CORRELATION_RANGE,
+    exact=correlation_exact,
+)
+# the budget is split evenly across the three releases
+_CORRELATION_COMPOSED = Spec(
+    "correlation_composed", "correlation", 2, aliases=("composed",), split=3.0,
+    parts=((_BEZIER_COVARIANCE, None), (_BEZIER_VARIANCE, 0), (_BEZIER_VARIANCE, 1)),
+    post=_composed_post, keys=_keys("c~ v_x~ v_y~"), clip=CORRELATION_RANGE,
+    exact=correlation_exact,
+)
+# cells: count, sum x, sum y, sum x^2, sum y^2, sum xy
+_CORRELATION_NAIVE = Spec(
+    "correlation_naive", "correlation", 2, family="naive", cells=6, c=6.0,
+    sums=lambda data, exact: _power_sums(data, 2, _BASIS_CORR),
+    post=_ratio_post(_correlation_ratio, range(6), 0.0),
+    keys=_keys("n~ s_x~ s_y~ s_x2~ s_y2~ s_xy~"), clip=CORRELATION_RANGE,
+    exact=correlation_exact,
+)
+
+# Grouped by statistic; a family's variance form comes before its covariance
+# form, and that before its correlation form.
+REGISTRY: dict[str, Spec] = {
+    spec.id: spec
+    for spec in (
+        Spec(
+            "swap_variance", "variance", 1, family="swap", aliases=("swap_var",), cells=1,
+            shift=True, sums=_swap_sums, post=_swap_post, keys=_UNCLIPPED, exact=variance_exact,
+            predict=swap_mse,
+        ),
+        # cells: count, sum x, sum x^2
+        Spec(
+            "naive_variance", "variance", 1, family="naive", aliases=("naive_var",),
+            cells=3, c=3.0, sums=lambda data, exact: moments_unnormalized(data, 2),
+            post=_VARIANCE_POST, keys=_keys("n~ s_x~ s_x2~"),
+            clip=VARIANCE_RANGE, exact=variance_exact, predict=naive_variance_mse,
+        ),
+        # cells: count, unnormalized statistic
+        Spec(
+            "improved_variance", "variance", 1, family="improved", aliases=("improved_var",),
+            cells=2, c=2.0, shift=True, sums=_shift_sums, post=_shift_post(VARIANCE_RANGE),
+            keys=_keys("n~ u~"), clip=VARIANCE_RANGE, exact=variance_exact,
+            predict=improved_variance_mse,
+        ),
+        _BEZIER_VARIANCE,
+        _VARIANCE_VIA_COVARIANCE,
+        _TRANSFORMED_VARIANCE,
+        Spec(
+            "swap_covariance", "covariance", 2, family="swap", aliases=("swap_cov",), cells=1,
+            shift=True, sums=_swap_sums, post=_swap_post, keys=_UNCLIPPED, exact=covariance_exact,
+            predict=swap_mse,
+        ),
+        # cells: count, sum x, sum y, sum xy
+        Spec(
+            "naive_covariance", "covariance", 2, family="naive", aliases=("naive_cov",), cells=4,
+            c=4.0, sums=lambda data, exact: _power_sums(data, 1, _BASIS_COV),
+            post=_ratio_post(ratio_covariance, range(4), 0.0), keys=_keys("n~ s_x~ s_y~ s_xy~"),
+            clip=COVARIANCE_RANGE, exact=covariance_exact, predict=naive_covariance_mse,
+        ),
+        Spec(
+            "improved_covariance", "covariance", 2, family="improved", aliases=("improved_cov",),
+            cells=2, c=2.0, shift=True, sums=_shift_sums, post=_shift_post(COVARIANCE_RANGE),
+            keys=_keys("n~ u~"), clip=COVARIANCE_RANGE, exact=covariance_exact,
+            predict=improved_covariance_mse,
+        ),
+        _BEZIER_COVARIANCE,
+        _CORRELATION_BEZIER,
+        _CORRELATION_COMPOSED,
+        _CORRELATION_NAIVE,
+        Spec("moment_release", "moment", 1, aliases=("moment",), params=_bind_moment),
+    )
+}
+
+MECHANISM_IDS = tuple(REGISTRY)
+
+
+def mechanism_spec(
+    mechanism_id: str, moment_k: int | None = None, moment_j: int | None = None
+) -> Spec:
+    """The registry record of an id, bound to moment_k/moment_j if it takes them."""
+    try:
+        spec = REGISTRY[mechanism_id]
+    except KeyError:
+        raise DomainError(f"unknown mechanism id {mechanism_id!r}") from None
+    return spec if spec.params is None else spec.params(spec, moment_k, moment_j)
+
+
+def prepare(
+    mechanism_id: str,
+    data: Dataset,
+    moment_k: int | None = None,
+    moment_j: int | None = None,
+) -> PreparedMechanism:
+    """Bind a mechanism to a dataset for repeated releases."""
+    return PreparedMechanism(mechanism_spec(mechanism_id, moment_k, moment_j), data)
+
+
+def _family(family: str, stat: str) -> Spec:
+    if stat not in ("variance", "covariance"):
+        raise DomainError(f"stat must be 'variance' or 'covariance', got {stat!r}")
+    return next(s for s in REGISTRY.values() if s.family == family and s.statistic == stat)
+
+
+# ---------------------------------------------------------------------------
+# release functions
+# ---------------------------------------------------------------------------
 
 def swap_laplace(
     data: Dataset,
@@ -210,287 +592,62 @@ def swap_laplace(
     clip_output: bool = False,
 ) -> Estimate:
     """Swap-model Laplace baseline: exact statistic + (1/n) Lap(1/eps)."""
-    return _prepare_swap(data, stat, clip_output).run(eps, source)
-
-
-# ---------------------------------------------------------------------------
-# naive add-remove baselines: independent noise on every raw aggregate
-# ---------------------------------------------------------------------------
-
-def _prepare_naive_variance(data: Dataset) -> PreparedMechanism:
-    s = moments_unnormalized(data, 2)
-    n, s1, s2 = float(s[0]), float(s[1]), float(s[2])
-    exact = _try_exact(variance_exact, data)
-
-    def _run(z, want):
-        # cells: count, sum x, sum x^2
-        nn = n + z[..., 0]
-        sx = s1 + z[..., 1]
-        sq = s2 + z[..., 2]
-        val = _count_guard(
-            nn, _mid(VARIANCE_RANGE), lambda c: _clip(ratio_variance(c, sx, sq), VARIANCE_RANGE)
+    spec = _family("swap", stat)
+    if clip_output:
+        spec = dataclasses.replace(
+            spec, clip=VARIANCE_RANGE if stat == "variance" else COVARIANCE_RANGE
         )
-        return val, ({"n~": nn, "s_x~": sx, "s_x2~": sq} if want else None)
-
-    return PreparedMechanism(
-        "naive_variance", VARIANCE_RANGE, exact, 3, lambda eps: 3.0 / eps, _run
-    )
+    return PreparedMechanism(spec, data).run(eps, source)
 
 
-def _prepare_naive_covariance(data: Dataset) -> PreparedMechanism:
-    if data.d != 2:
-        raise DomainError(f"covariance needs d=2 data, got d={data.d}")
-    x, y = data.column(0), data.column(1)
-    n = float(data.n)
-    sx, sy, sxy = float(np.sum(x)), float(np.sum(y)), float(np.sum(x * y))
-    exact = _try_exact(covariance_exact, data)
-
-    def _run(z, want):
-        # cells: count, sum x, sum y, sum xy
-        nn = n + z[..., 0]
-        ax = sx + z[..., 1]
-        ay = sy + z[..., 2]
-        axy = sxy + z[..., 3]
-        val = _count_guard(
-            nn, 0.0, lambda c: _clip(ratio_covariance(c, ax, ay, axy), COVARIANCE_RANGE)
-        )
-        return val, ({"n~": nn, "s_x~": ax, "s_y~": ay, "s_xy~": axy} if want else None)
-
-    return PreparedMechanism(
-        "naive_covariance", COVARIANCE_RANGE, exact, 4, lambda eps: 4.0 / eps, _run
-    )
-
-
-def naive_add_remove(
-    data: Dataset, stat: str, eps: float, source: NoiseSource
-) -> Estimate:
+def naive_add_remove(data: Dataset, stat: str, eps: float, source: NoiseSource) -> Estimate:
     """Add-remove baseline: Lap(m/eps) on each of the m raw aggregates."""
-    stat = _check_stat(stat)
-    if stat == "variance":
-        return _prepare_naive_variance(data).run(eps, source)
-    return _prepare_naive_covariance(data).run(eps, source)
+    return PreparedMechanism(_family("naive", stat), data).run(eps, source)
 
 
-# ---------------------------------------------------------------------------
-# improved add-remove baseline: count + unnormalized statistic
-# ---------------------------------------------------------------------------
-
-def _prepare_improved(data: Dataset, stat: str) -> PreparedMechanism:
-    stat = _check_stat(stat)
-    if stat == "variance":
-        rng = VARIANCE_RANGE
-        exact = _try_exact(variance_exact, data)
-    else:
-        if data.d != 2:
-            raise DomainError(f"covariance needs d=2 data, got d={data.d}")
-        rng = COVARIANCE_RANGE
-        exact = _try_exact(covariance_exact, data)
-    n = float(data.n)
-    v = exact if exact is not None else 0.0
-    u = n * v
-
-    def _run(z, want):
-        # cells: count, unnormalized statistic
-        z0, z1 = z[..., 0], z[..., 1]
-        nn = n + z0
-        # (u + z_u) / (n + z_n) rewritten so zero noise returns v exactly
-        val = _count_guard(nn, _mid(rng), lambda c: _clip(v + (z1 - v * z0) / c, rng))
-        return val, ({"n~": nn, "u~": u + z1} if want else None)
-
-    return PreparedMechanism(f"improved_{stat}", rng, exact, 2, lambda eps: 2.0 / eps, _run)
-
-
-def improved_add_remove(
-    data: Dataset, stat: str, eps: float, source: NoiseSource
-) -> Estimate:
+def improved_add_remove(data: Dataset, stat: str, eps: float, source: NoiseSource) -> Estimate:
     """Add-remove baseline with only two aggregates: count and n * statistic."""
-    return _prepare_improved(data, stat).run(eps, source)
-
-
-# ---------------------------------------------------------------------------
-# Bernstein-basis mechanisms
-# ---------------------------------------------------------------------------
-
-def _prepare_bezier_variance(data: Dataset) -> PreparedMechanism:
-    s = moments_unnormalized(data, 2)
-    n, s1, s2 = float(s[0]), float(s[1]), float(s[2])
-    exact = _try_exact(variance_exact, data)
-    # degree-2 basis aggregate, kept for the audit trail
-    b0, b1, b2 = n - 2.0 * s1 + s2, 2.0 * (s1 - s2), s2
-
-    def _run(z, want):
-        # cells: basis cells 0, 1, 2
-        z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
-        nn = n + (z0 + z1 + z2)
-        sx = s1 + (0.5 * z1 + z2)
-        sq = s2 + z2
-        val = _count_guard(
-            nn, _mid(VARIANCE_RANGE), lambda c: _clip(ratio_variance(c, sx, sq), VARIANCE_RANGE)
-        )
-        aggs = (
-            {
-                "b_0~": b0 + z0,
-                "b_1~": b1 + z1,
-                "b_2~": b2 + z2,
-                "n~": nn,
-                "s_x~": sx,
-                "s_x2~": sq,
-            }
-            if want
-            else None
-        )
-        return val, aggs
-
-    return PreparedMechanism(
-        "bezier_variance", VARIANCE_RANGE, exact, 3, lambda eps: 1.0 / eps, _run
-    )
+    return PreparedMechanism(_family("improved", stat), data).run(eps, source)
 
 
 def bezier_variance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
     """Variance from a degree-2 Bernstein aggregate with unit L1 sensitivity."""
-    return _prepare_bezier_variance(data).run(eps, source)
-
-
-def _cov_runner(n, sx, sy, sxy, out_range, mechanism_id, exact):
-    """Shared core of the basis covariance mechanism, parametrized by sums."""
-    b00 = n - sx - sy + sxy
-    b01 = sy - sxy
-    b10 = sx - sxy
-    b11 = sxy
-
-    def _run(z, want):
-        # cells (0,0), (0,1), (1,0), (1,1)
-        z0, z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
-        nn = n + (z0 + z1 + z2 + z3)
-        ax = sx + (z2 + z3)
-        ay = sy + (z1 + z3)
-        axy = sxy + z3
-        val = _count_guard(
-            nn, 0.0, lambda c: _clip(ratio_covariance(c, ax, ay, axy), COVARIANCE_RANGE)
-        )
-        if out_range is not COVARIANCE_RANGE:
-            val = _clip(val, out_range)
-        aggs = (
-            {
-                "b_{0,0}~": b00 + z0,
-                "b_{0,1}~": b01 + z1,
-                "b_{1,0}~": b10 + z2,
-                "b_{1,1}~": b11 + z3,
-                "n~": nn,
-                "s_x~": ax,
-                "s_y~": ay,
-                "s_xy~": axy,
-            }
-            if want
-            else None
-        )
-        return val, aggs
-
-    return PreparedMechanism(mechanism_id, out_range, exact, 4, lambda eps: 1.0 / eps, _run)
-
-
-def _prepare_bezier_covariance(data: Dataset) -> PreparedMechanism:
-    if data.d != 2:
-        raise DomainError(f"covariance needs d=2 data, got d={data.d}")
-    x, y = data.column(0), data.column(1)
-    n = float(data.n)
-    sx, sy, sxy = float(np.sum(x)), float(np.sum(y)), float(np.sum(x * y))
-    exact = _try_exact(covariance_exact, data)
-    return _cov_runner(n, sx, sy, sxy, COVARIANCE_RANGE, "bezier_covariance", exact)
+    return PreparedMechanism(_BEZIER_VARIANCE, data).run(eps, source)
 
 
 def bezier_covariance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
     """Covariance from a 2x2 tensor Bernstein aggregate, unit L1 sensitivity."""
-    return _prepare_bezier_covariance(data).run(eps, source)
-
-
-def _prepare_variance_via_covariance(data: Dataset) -> PreparedMechanism:
-    s = moments_unnormalized(data, 2)
-    n, s1, s2 = float(s[0]), float(s[1]), float(s[2])
-    exact = _try_exact(variance_exact, data)
-    # duplicate the column: cov(x, x) = var(x), then clamp to the variance range
-    return _cov_runner(
-        n, s1, s1, s2, VARIANCE_RANGE, "variance_via_covariance", exact
-    )
+    return PreparedMechanism(_BEZIER_COVARIANCE, data).run(eps, source)
 
 
 def variance_via_covariance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
     """Variance read off the covariance mechanism with a duplicated column."""
-    return _prepare_variance_via_covariance(data).run(eps, source)
-
-
-def _prepare_transformed_variance(data: Dataset) -> PreparedMechanism:
-    if data.d != 1:
-        raise DomainError(f"variance needs d=1 data, got d={data.d}")
-    n = float(data.n)
-    exact = _try_exact(variance_exact, data)
-    v = exact if exact is not None else 0.0
-    u = n * v
-
-    def _run(z, want):
-        # cells: n - u, u
-        z0, z1 = z[..., 0], z[..., 1]
-        zt = z0 + z1
-        nn = n + zt
-        val = _count_guard(
-            nn, _mid(VARIANCE_RANGE), lambda c: _clip(v + (z1 - v * zt) / c, VARIANCE_RANGE)
-        )
-        aggs = (
-            {"b_0~": (n - u) + z0, "b_1~": u + z1, "n~": nn, "u~": u + z1}
-            if want
-            else None
-        )
-        return val, aggs
-
-    return PreparedMechanism(
-        "transformed_variance", VARIANCE_RANGE, exact, 2, lambda eps: 1.0 / eps, _run
-    )
+    return PreparedMechanism(_VARIANCE_VIA_COVARIANCE, data).run(eps, source)
 
 
 def transformed_variance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
     """Two-cell release of (n - u, u), u = n * variance; unit L1 sensitivity."""
-    return _prepare_transformed_variance(data).run(eps, source)
+    return PreparedMechanism(_TRANSFORMED_VARIANCE, data).run(eps, source)
 
 
-# ---------------------------------------------------------------------------
-# full basis release and general post-processed statistics
-# ---------------------------------------------------------------------------
-
-class PreparedMomentRelease:
-    """Degree-k, dimension-d Bernstein release bound to one dataset."""
-
-    __slots__ = ("k", "d", "aggregate")
-
-    def __init__(self, data: Dataset, k: int, d: int):
-        k, d = _check_dims(k, d)
-        if data.d != d:
-            raise DomainError(f"release with d={d} needs d={d} data, got d={data.d}")
-        self.k = k
-        self.d = d
-        self.aggregate = bernstein_aggregate(data.values, k)
-
-    @property
-    def cells(self) -> int:
-        return self.aggregate.shape[0]
-
-    def scale(self, eps: float) -> float:
-        return 1.0 / _check_eps(eps)
-
-    def kernel(self, noise):
-        """(recovered power sums, noisy basis aggregate) for noise rows."""
-        noisy = self.aggregate + noise
-        return tensor_apply_inverse(self.k, self.d, noisy), noisy
-
-    def release_full(self, eps, source):
-        """(recovered power-sum vector, noisy basis aggregate)."""
-        return self.kernel(source.laplace_vector(self.scale(eps), self.cells))
-
-    def release(self, eps, source) -> np.ndarray:
-        return self.release_full(eps, source)[0]
+def correlation_composed(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
+    """Correlation from three separate basis releases, each on budget eps/3."""
+    return PreparedMechanism(_CORRELATION_COMPOSED, data).run(eps, source)
 
 
-def prepare_moment_release(data: Dataset, k: int, d: int = 1) -> PreparedMomentRelease:
-    return PreparedMomentRelease(data, k, d)
+def correlation_naive(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
+    """Correlation from six independently noised raw sums (budget eps/6 each)."""
+    return PreparedMechanism(_CORRELATION_NAIVE, data).run(eps, source)
+
+
+def prepare_moment_release(data: Dataset, k: int, d: int = 1) -> PreparedMechanism:
+    """Degree-k, dimension-d release of every mixed power sum.
+
+    Its values are the recovered power-sum vectors, shape (..., (k+1)^d),
+    in `multi_indices(k, d)` order.
+    """
+    spec = _basis_spec(k, d, id="bezier_release", statistic=None, post=_all_sums)
+    return PreparedMechanism(spec, data)
 
 
 def bezier_release(
@@ -501,41 +658,12 @@ def bezier_release(
     Adds Lap(1/eps) to every cell of the (k+1)^d Bernstein aggregate and maps
     back to power sums.  Entry order matches `multi_indices(k, d)`.
     """
-    return prepare_moment_release(data, k, d).release(eps, source)
+    return prepare_moment_release(data, k, d).run_value(eps, source)
 
 
-def _agg_key(prefix: str, alpha: tuple[int, ...]) -> str:
-    if len(alpha) == 1:
-        return f"{prefix}_{alpha[0]}~"
-    return f"{prefix}_{{{','.join(str(a) for a in alpha)}}}~"
-
-
-def _basis_mechanism(name, clip_range, exact, rel, value_of) -> PreparedMechanism:
-    """Mechanism releasing `value_of(mu)` from one basis release `rel`."""
-    idx = multi_indices(rel.k, rel.d)
-
-    def _run(z, want):
-        mu, noisy = rel.kernel(z)
-        val = value_of(mu)
-        if not want:
-            return val, None
-        aggs = {_agg_key("b", alpha): noisy[..., i] for i, alpha in enumerate(idx)}
-        aggs.update({_agg_key("mu", alpha): mu[..., i] for i, alpha in enumerate(idx)})
-        return val, aggs
-
-    return PreparedMechanism(name, clip_range, exact, rel.cells, lambda eps: 1.0 / eps, _run)
-
-
-def _prepare_moment_statistic(data: Dataset, k, j) -> PreparedMechanism:
-    if k is None or j is None:
-        raise DomainError("moment_release needs moment_k and moment_j")
-    rel = prepare_moment_release(data, int(k), 1)
-    j = int(j)
-    if not 0 <= j <= rel.k:
-        raise DomainError(f"moment order must lie in [0, {rel.k}], got {j}")
-    exact = float(moments_unnormalized(data, rel.k)[j])
-    return _basis_mechanism("moment_release", None, exact, rel, lambda mu: mu[..., j])
-
+# ---------------------------------------------------------------------------
+# general post-processed statistics
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GeneralStatistic:
@@ -556,45 +684,26 @@ class GeneralStatistic:
     exact_fn: Callable[[Dataset], float] | None = None
 
 
-def _prepare_general(data: Dataset, stat: GeneralStatistic) -> PreparedMechanism:
-    rel = prepare_moment_release(data, stat.k, stat.d)
-    exact = _try_exact(stat.exact_fn, data) if stat.exact_fn is not None else None
-
-    def value_of(mu):
-        val = stat.post_process(mu)
-        return val if stat.clip is None else _clip(val, stat.clip)
-
-    return _basis_mechanism(stat.name, stat.clip, exact, rel, value_of)
-
-
 def general_statistic(
     data: Dataset, stat: GeneralStatistic, eps: float, source: NoiseSource
 ) -> Estimate:
     """Release any statistic expressible from the power sums of one basis call."""
-    return _prepare_general(data, stat).run(eps, source)
+    spec = _basis_spec(
+        stat.k, stat.d, id=stat.name, statistic=None, clip=stat.clip, exact=stat.exact_fn,
+        post=lambda s, mu: stat.post_process(_rows_last(mu)),
+    )
+    return PreparedMechanism(spec, data).run(eps, source)
 
 
 # -- built-in general statistics -------------------------------------------
 
-def _corr_post(mu: np.ndarray) -> np.ndarray:
-    # layout for k=2, d=2: flat index = 3 * a_x + a_y
-    def value_of(nn):
-        vx = ratio_variance(nn, mu[..., 3], mu[..., 6])
-        vy = ratio_variance(nn, mu[..., 1], mu[..., 2])
-        c = ratio_covariance(nn, mu[..., 3], mu[..., 1], mu[..., 4])
-        prod = vx * vy
-        return _ratio_guard(c, prod, (vx > 0.0) & (vy > 0.0) & (prod > _TINY_VARPROD))
-
-    return _count_guard(mu[..., 0], 0.0, value_of)
-
-
 def correlation_statistic() -> GeneralStatistic:
     """Pearson correlation from one degree-2, dimension-2 basis release."""
     return GeneralStatistic(
-        name="correlation_bezier",
+        name=_CORRELATION_BEZIER.id,
         k=2,
         d=2,
-        post_process=_corr_post,
+        post_process=lambda mu: _CORRELATION_POST(None, _cells_first(mu)),
         clip=CORRELATION_RANGE,
         exact_fn=correlation_exact,
     )
@@ -630,16 +739,12 @@ def _standardized_post(order: int):
     return post
 
 
-_skew_post = _standardized_post(3)
-_kurt_post = _standardized_post(4)
-
-
 def skewness_statistic() -> GeneralStatistic:
     return GeneralStatistic(
         name="skewness",
         k=3,
         d=1,
-        post_process=_skew_post,
+        post_process=_standardized_post(3),
         clip=None,
         exact_fn=lambda data: standardized_moment(data, 3),
     )
@@ -650,7 +755,7 @@ def kurtosis_statistic() -> GeneralStatistic:
         name="kurtosis",
         k=4,
         d=1,
-        post_process=_kurt_post,
+        post_process=_standardized_post(4),
         clip=None,
         exact_fn=lambda data: standardized_moment(data, 4),
     )
@@ -678,120 +783,3 @@ def centered_moment_statistic(order: int) -> GeneralStatistic:
         clip=rng,
         exact_fn=lambda data: centered_moment_exact(data, order),
     )
-
-
-# ---------------------------------------------------------------------------
-# correlation pipelines
-# ---------------------------------------------------------------------------
-
-def _prepare_correlation_bezier(data: Dataset) -> PreparedMechanism:
-    return _prepare_general(data, correlation_statistic())
-
-
-def _prepare_correlation_composed(data: Dataset) -> PreparedMechanism:
-    if data.d != 2:
-        raise DomainError(f"correlation needs d=2 data, got d={data.d}")
-    pc = _prepare_bezier_covariance(data)
-    px = _prepare_bezier_variance(data.univariate(0))
-    py = _prepare_bezier_variance(data.univariate(1))
-    exact = _try_exact(correlation_exact, data)
-
-    def _run(z, want):
-        # cells: covariance 0-3, x variance 4-6, y variance 7-9, all at one scale
-        c = pc.kernel(z[..., 0:4])
-        vx = px.kernel(z[..., 4:7])
-        vy = py.kernel(z[..., 7:10])
-        prod = vx * vy
-        val = _clip(_ratio_guard(c, prod, prod > _TINY_VARPROD), CORRELATION_RANGE)
-        return val, ({"c~": c, "v_x~": vx, "v_y~": vy} if want else None)
-
-    # the budget is split evenly across the three releases
-    return PreparedMechanism(
-        "correlation_composed", CORRELATION_RANGE, exact, 10, lambda eps: 1.0 / (eps / 3.0), _run
-    )
-
-
-def correlation_composed(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Correlation from three separate basis releases, each on budget eps/3."""
-    return _prepare_correlation_composed(data).run(eps, source)
-
-
-def _prepare_correlation_naive(data: Dataset) -> PreparedMechanism:
-    if data.d != 2:
-        raise DomainError(f"correlation needs d=2 data, got d={data.d}")
-    x, y = data.column(0), data.column(1)
-    n = float(data.n)
-    sx, sy = float(np.sum(x)), float(np.sum(y))
-    sxx, syy = float(np.sum(x * x)), float(np.sum(y * y))
-    sxy = float(np.sum(x * y))
-    exact = _try_exact(correlation_exact, data)
-
-    def _run(z, want):
-        # cells: count, sum x, sum y, sum x^2, sum y^2, sum xy
-        nn = n + z[..., 0]
-        ax, ay = sx + z[..., 1], sy + z[..., 2]
-        axx, ayy, axy = sxx + z[..., 3], syy + z[..., 4], sxy + z[..., 5]
-
-        def value_of(c):
-            vx = ratio_variance(c, ax, axx)
-            vy = ratio_variance(c, ay, ayy)
-            cv = ratio_covariance(c, ax, ay, axy)
-            prod = vx * vy
-            ok = (vx > 0.0) & (vy > 0.0) & (prod > _TINY_VARPROD)
-            return _clip(_ratio_guard(cv, prod, ok), CORRELATION_RANGE)
-
-        val = _count_guard(nn, 0.0, value_of)
-        aggs = (
-            {"n~": nn, "s_x~": ax, "s_y~": ay, "s_x2~": axx, "s_y2~": ayy, "s_xy~": axy}
-            if want
-            else None
-        )
-        return val, aggs
-
-    return PreparedMechanism(
-        "correlation_naive", CORRELATION_RANGE, exact, 6, lambda eps: 6.0 / eps, _run
-    )
-
-
-def correlation_naive(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Correlation from six independently noised raw sums (budget eps/6 each)."""
-    return _prepare_correlation_naive(data).run(eps, source)
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-_FACTORIES: dict[str, Callable[[Dataset], PreparedMechanism]] = {
-    "swap_variance": lambda d: _prepare_swap(d, "variance", False),
-    "swap_covariance": lambda d: _prepare_swap(d, "covariance", False),
-    "naive_variance": _prepare_naive_variance,
-    "naive_covariance": _prepare_naive_covariance,
-    "improved_variance": lambda d: _prepare_improved(d, "variance"),
-    "improved_covariance": lambda d: _prepare_improved(d, "covariance"),
-    "bezier_variance": _prepare_bezier_variance,
-    "bezier_covariance": _prepare_bezier_covariance,
-    "variance_via_covariance": _prepare_variance_via_covariance,
-    "transformed_variance": _prepare_transformed_variance,
-    "correlation_bezier": _prepare_correlation_bezier,
-    "correlation_composed": _prepare_correlation_composed,
-    "correlation_naive": _prepare_correlation_naive,
-}
-
-MECHANISM_IDS = tuple(sorted(_FACTORIES)) + ("moment_release",)
-
-
-def prepare(
-    mechanism_id: str,
-    data: Dataset,
-    moment_k: int | None = None,
-    moment_j: int | None = None,
-) -> PreparedMechanism:
-    """Bind a mechanism to a dataset for repeated releases."""
-    if mechanism_id == "moment_release":
-        return _prepare_moment_statistic(data, moment_k, moment_j)
-    try:
-        factory = _FACTORIES[mechanism_id]
-    except KeyError:
-        raise DomainError(f"unknown mechanism id {mechanism_id!r}") from None
-    return factory(data)

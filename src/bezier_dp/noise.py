@@ -289,7 +289,3 @@ class NoiseRows:
         self._pos += count
         return block * scale
 
-
-def laplace_sample(source: NoiseSource, scale: float) -> float:
-    """Module-level convenience wrapper: one Laplace draw from `source`."""
-    return source.laplace(scale)

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import mechanisms  # circular: the registry in mechanisms reads this module
 from .bernstein import MAX_DEGREE, binomial
 from .errors import DomainError
 from .stats import Dataset, feasible_rxy_bounds
@@ -147,6 +148,64 @@ def worst_case_table() -> dict[str, float]:
     }
 
 
+def _variance_profile(data: Dataset) -> tuple[float, float, float]:
+    """Mean r, second moment m2 and variance v of column 0."""
+    if data.n < 1:
+        raise DomainError("a variance prediction needs a nonempty dataset")
+    x = data.column(0)
+    r = float(np.mean(x))
+    m2 = float(np.mean(x * x))
+    return r, m2, max(0.0, m2 - r * r)
+
+
+def _covariance_profile(data: Dataset) -> tuple[float, float, float, float]:
+    """Means r_x, r_y, E[xy] and covariance c of a two-column dataset."""
+    if data.n < 1:
+        raise DomainError("a covariance prediction needs a nonempty dataset")
+    x, y = data.column(0), data.column(1)
+    rx, ry = float(np.mean(x)), float(np.mean(y))
+    mxy = float(np.mean(x * y))
+    return rx, ry, mxy, mxy - rx * ry
+
+
+# First-order normalized MSE of each mechanism on a dataset; the registry in
+# `mechanisms` names which one a mechanism uses.
+
+def swap_mse(data: Dataset, eps: float) -> float:
+    return 2.0 / eps**2
+
+
+def naive_variance_mse(data: Dataset, eps: float) -> float:
+    r, m2, _ = _variance_profile(data)
+    return (18.0 / eps**2) * (1.0 + 4.0 * r * r + (2.0 * r * r - m2) ** 2)
+
+
+def improved_variance_mse(data: Dataset, eps: float) -> float:
+    v = _variance_profile(data)[2]
+    return (8.0 / eps**2) * (1.0 + v * v)
+
+
+def basis_variance_mse(route: str, data: Dataset, eps: float) -> float:
+    """`route` names the `InstanceConstants` field of the variance mechanism."""
+    r, _, v = _variance_profile(data)
+    return (2.0 / eps**2) * getattr(instance_constants(r, v), route)
+
+
+def naive_covariance_mse(data: Dataset, eps: float) -> float:
+    rx, ry, mxy, _ = _covariance_profile(data)
+    return (32.0 / eps**2) * (1.0 + rx * rx + ry * ry + (2.0 * rx * ry - mxy) ** 2)
+
+
+def improved_covariance_mse(data: Dataset, eps: float) -> float:
+    c = _covariance_profile(data)[3]
+    return (8.0 / eps**2) * (1.0 + c * c)
+
+
+def bezier_covariance_mse(data: Dataset, eps: float) -> float:
+    rx, ry, _, c = _covariance_profile(data)
+    return (2.0 / eps**2) * covariance_instance_constant(rx, ry, c)
+
+
 def predicted_normalized_mse(
     mechanism_id: str,
     data: Dataset,
@@ -157,59 +216,16 @@ def predicted_normalized_mse(
     """First-order normalized-MSE prediction for a mechanism on a dataset.
 
     Instance quantities (means, variances, covariance) are measured from the
-    dataset itself.  Returns None for mechanisms without a closed form
-    (the correlation pipelines).  For ``moment_release`` the prediction is
-    n^2 times the raw power-sum MSE so that it lives on the same normalized
-    scale as every other row.
+    dataset itself, which must have the mechanism's number of columns.
+    Returns None for mechanisms without a closed form (the correlation
+    pipelines).  For ``moment_release`` the prediction is n^2 times the raw
+    power-sum MSE so that it lives on the same normalized scale as every
+    other row.
     """
     eps = float(eps)
     if not eps > 0.0:
         raise DomainError(f"epsilon must be > 0, got {eps}")
-    if mechanism_id in ("correlation_bezier", "correlation_composed", "correlation_naive"):
-        return None
-    if mechanism_id == "moment_release":
-        if moment_k is None or moment_j is None:
-            raise DomainError("moment_release prediction needs moment_k and moment_j")
-        return data.n**2 * moment_release_mse(moment_k, moment_j, eps)
-    if mechanism_id in ("swap_variance", "swap_covariance"):
-        return 2.0 / eps**2
-    if data.n < 1:
-        raise DomainError(f"prediction for {mechanism_id} needs a nonempty dataset")
-
-    if mechanism_id in (
-        "naive_variance",
-        "improved_variance",
-        "bezier_variance",
-        "variance_via_covariance",
-        "transformed_variance",
-    ):
-        x = data.column(0)
-        r = float(np.mean(x))
-        m2 = float(np.mean(x * x))
-        v = max(0.0, m2 - r * r)
-        if mechanism_id == "naive_variance":
-            return (18.0 / eps**2) * (1.0 + 4.0 * r * r + (2.0 * r * r - m2) ** 2)
-        if mechanism_id == "improved_variance":
-            return (8.0 / eps**2) * (1.0 + v * v)
-        consts = instance_constants(r, v)
-        which = {
-            "bezier_variance": consts.bezier,
-            "variance_via_covariance": consts.via_covariance,
-            "transformed_variance": consts.transformed,
-        }[mechanism_id]
-        return (2.0 / eps**2) * which
-
-    if mechanism_id in ("naive_covariance", "improved_covariance", "bezier_covariance"):
-        x, y = data.column(0), data.column(1)
-        rx, ry = float(np.mean(x)), float(np.mean(y))
-        mxy = float(np.mean(x * y))
-        c = mxy - rx * ry
-        if mechanism_id == "naive_covariance":
-            return (32.0 / eps**2) * (
-                1.0 + rx * rx + ry * ry + (2.0 * rx * ry - mxy) ** 2
-            )
-        if mechanism_id == "improved_covariance":
-            return (8.0 / eps**2) * (1.0 + c * c)
-        return (2.0 / eps**2) * covariance_instance_constant(rx, ry, c)
-
-    raise DomainError(f"unknown mechanism id {mechanism_id!r}")
+    spec = mechanisms.mechanism_spec(mechanism_id, moment_k, moment_j)
+    if data.d != spec.d:
+        raise DomainError(f"{spec.id} needs d={spec.d} data, got d={data.d}")
+    return None if spec.predict is None else spec.predict(data, eps)

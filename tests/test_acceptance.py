@@ -106,8 +106,10 @@ def test_a1_exact_algebra_and_zero_noise_reduction():
         n = 1 + int(src.uniforms01(1)[0] * 60.0)
         d1 = bd.Dataset(src.uniforms01(n))
         d2 = bd.Dataset(src.uniforms01(2 * n).reshape(n, 2))
-        for mid in ids:
-            prep = bd.prepare(mid, d2 if mid in cov_ids else d1)
+        preps = [bd.prepare(mid, d2 if mid in cov_ids else d1) for mid in ids]
+        # s + M^-1 0 is the exact power-sum vector, so any recovered sum is exact
+        preps.append(bd.prepare("moment_release", d1, moment_k=4, moment_j=rep % 5))
+        for prep in preps:
             if prep.run_value(1.0, NoiseSource.zero()) != prep.exact_value:
                 mismatches += 1
 
@@ -118,7 +120,7 @@ def test_a1_exact_algebra_and_zero_noise_reduction():
         "exact rational inverse for k<=20"
         + ("" if bad_k is None else f" BROKEN at k={bad_k}")
         + f"; max partition-of-unity residual {resid:.2e} (tol 1e-12)"
-        + f"; {mismatches} zero-noise mismatches over 10 mechanisms x 100 datasets",
+        + f"; {mismatches} zero-noise mismatches over 11 mechanisms x 100 datasets",
     )
 
 
@@ -136,7 +138,7 @@ def test_a2_moment_release_mse_matches_weights():
         prep = bd.prepare_moment_release(data, k)
         exact_vec = bd.moments_unnormalized(data, k)
         noise = _noise_rows(prep, eps, trials, derive_seed(2202, k, 0))
-        err = prep.kernel(noise)[0] - exact_vec
+        err = prep.kernel(noise) - exact_vec
         mse = np.sum(err * err, axis=0) / trials
         for j in range(k + 1):
             pred = bd.moment_release_mse(k, j, eps)
@@ -167,7 +169,7 @@ def test_a3_top_moment_mse_is_two_over_eps_squared():
         exact_top = float(bd.moments_unnormalized(data, k)[k])
         for ei, eps in enumerate((0.3, 1.0)):
             noise = _noise_rows(prep, eps, trials, derive_seed(2302, k, ei))
-            diff = prep.kernel(noise)[0][:, k] - exact_top
+            diff = prep.kernel(noise)[:, k] - exact_top
             acc = float(np.sum(diff * diff))
             worst = max(worst, abs(acc / trials / (2.0 / eps**2) - 1.0))
     _verdict(

@@ -86,6 +86,22 @@ def test_estimate_show_aggregates(pair_csv, capsys):
     assert "n~ = 3.0" in out
 
 
+def test_estimate_alias_resolution(data_csv, pair_csv, capsys):
+    # a plain alias names one id, whatever the column count
+    argv = ["estimate", "--data", pair_csv, "--mechanism", "composed", "--epsilon", "1",
+            "--noise", "zero"]
+    assert main(argv) == EXIT_OK
+    assert "mechanism=correlation_composed" in capsys.readouterr().out
+    # a family alias takes its covariance form on two columns
+    argv[4] = "naive"
+    assert main(argv) == EXIT_OK
+    assert "mechanism=naive_covariance" in capsys.readouterr().out
+    # the bare moment alias needs its degree and power
+    rc = main(["estimate", "--data", data_csv, "--mechanism", "moment", "--epsilon", "1"])
+    assert rc == EXIT_CONFIG
+    assert "moment:K:J" in capsys.readouterr().err
+
+
 def test_estimate_moment_syntax(data_csv, capsys):
     rc = main(
         ["estimate", "--data", data_csv, "--mechanism", "moment:2:1",

@@ -9,6 +9,7 @@ from bezier_dp import (
     ConfigError,
     DataFormatError,
     Dataset,
+    MECHANISM_IDS,
     ExperimentConfig,
     NoiseSource,
     correlation_exact,
@@ -38,20 +39,53 @@ def _cfg(**kw):
 # mechanism resolution and config validation
 # ---------------------------------------------------------------------------
 
+# every alias with the id it resolves to for a statistic
+_ALIASES = {
+    # plain aliases name one id
+    ("naive_var", "variance"): "naive_variance",
+    ("naive_cov", "covariance"): "naive_covariance",
+    ("improved_var", "variance"): "improved_variance",
+    ("improved_cov", "covariance"): "improved_covariance",
+    ("bezier_var", "variance"): "bezier_variance",
+    ("bezier_cov", "covariance"): "bezier_covariance",
+    ("via_cov", "variance"): "variance_via_covariance",
+    ("transformed", "variance"): "transformed_variance",
+    ("transformed_var", "variance"): "transformed_variance",
+    ("swap_var", "variance"): "swap_variance",
+    ("swap_cov", "covariance"): "swap_covariance",
+    ("composed", "correlation"): "correlation_composed",
+    ("moment", "moment"): "moment_release",
+    # family aliases name one member per statistic
+    ("swap", "variance"): "swap_variance",
+    ("swap", "covariance"): "swap_covariance",
+    ("naive", "variance"): "naive_variance",
+    ("naive", "covariance"): "naive_covariance",
+    ("naive", "correlation"): "correlation_naive",
+    ("improved", "variance"): "improved_variance",
+    ("improved", "covariance"): "improved_covariance",
+    ("bezier", "variance"): "bezier_variance",
+    ("bezier", "covariance"): "bezier_covariance",
+    ("bezier", "correlation"): "correlation_bezier",
+}
+
+
 def test_resolve_mechanism_aliases():
-    assert resolve_mechanism("bezier", "variance") == "bezier_variance"
-    assert resolve_mechanism("bezier", "covariance") == "bezier_covariance"
-    assert resolve_mechanism("bezier", "correlation") == "correlation_bezier"
-    assert resolve_mechanism("naive", "correlation") == "correlation_naive"
-    assert resolve_mechanism("via_cov", "variance") == "variance_via_covariance"
-    assert resolve_mechanism("transformed", "variance") == "transformed_variance"
-    assert resolve_mechanism("composed", "correlation") == "correlation_composed"
-    assert resolve_mechanism("moment", "moment") == "moment_release"
-    assert resolve_mechanism("swap_variance", "variance") == "swap_variance"
+    for (name, statistic), want in _ALIASES.items():
+        assert resolve_mechanism(name, statistic) == want, (name, statistic)
+    for mid in MECHANISM_IDS:  # an id resolves to itself, for one statistic only
+        resolved = []
+        for statistic in ("variance", "covariance", "correlation", "moment"):
+            try:
+                resolved.append(resolve_mechanism(mid, statistic))
+            except ConfigError:
+                pass
+        assert resolved == [mid]
     with pytest.raises(ConfigError):
         resolve_mechanism("swap", "correlation")  # no swap correlation form
     with pytest.raises(ConfigError):
         resolve_mechanism("bezier_variance", "covariance")
+    with pytest.raises(ConfigError):
+        resolve_mechanism("naive_var", "covariance")
     with pytest.raises(ConfigError):
         resolve_mechanism("bezier", "median")
 

@@ -226,12 +226,13 @@ def test_transformed_variance_cells():
 def test_moment_release_replay_matches_manual_inverse():
     agg = bernstein_aggregate(X3.values, 2)
     z = np.array([0.3, -0.1, 0.2])
-    rel = prepare_moment_release(X3, 2, 1)
-    mu, noisy = rel.release_full(1.0, NoiseSource.replay(list(z)))
+    est = prepare_moment_release(X3, 2, 1).run(1.0, NoiseSource.replay(list(z)))
+    noisy = [est.noisy_aggregates[f"b_{j}~"] for j in range(3)]
     assert noisy == pytest.approx(agg + z, rel=1e-15)
     nb = agg + z
     want = [nb[0] + nb[1] + nb[2], 0.5 * nb[1] + nb[2], nb[2]]
-    assert mu == pytest.approx(want, rel=1e-12)
+    assert est.value == pytest.approx(want, rel=1e-12)
+    assert [est.noisy_aggregates[f"mu_{j}~"] for j in range(3)] == list(est.value)
 
 
 def test_correlation_naive_draw_order():
@@ -386,6 +387,40 @@ def test_general_statistic_audit_trail():
 # interface contracts
 # ---------------------------------------------------------------------------
 
+# `--show-aggregates` prints these keys in this order
+_B2 = ["b_{0,0}~", "b_{0,1}~", "b_{1,0}~", "b_{1,1}~"]
+_TRAIL_KEYS = {
+    "swap_variance": ["stat~"],
+    "swap_covariance": ["stat~"],
+    "naive_variance": ["n~", "s_x~", "s_x2~"],
+    "naive_covariance": ["n~", "s_x~", "s_y~", "s_xy~"],
+    "improved_variance": ["n~", "u~"],
+    "improved_covariance": ["n~", "u~"],
+    "bezier_variance": ["b_0~", "b_1~", "b_2~", "n~", "s_x~", "s_x2~"],
+    "bezier_covariance": _B2 + ["n~", "s_x~", "s_y~", "s_xy~"],
+    "variance_via_covariance": _B2 + ["n~", "s_x~", "s_y~", "s_xy~"],
+    "transformed_variance": ["b_0~", "b_1~", "n~", "u~"],
+    "correlation_bezier": [
+        f"{p}_{{{a},{b}}}~" for p in ("b", "mu") for a in range(3) for b in range(3)
+    ],
+    "correlation_composed": ["c~", "v_x~", "v_y~"],
+    "correlation_naive": ["n~", "s_x~", "s_y~", "s_x2~", "s_y2~", "s_xy~"],
+    "moment_release": ["b_0~", "b_1~", "b_2~", "mu_0~", "mu_1~", "mu_2~"],
+}
+
+
+@pytest.mark.parametrize("mid", sorted(_TRAIL_KEYS))
+def test_noisy_aggregate_keys_and_order(mid):
+    two_col = mid in _CORR_IDS or ("covariance" in mid and mid != "variance_via_covariance")
+    kw = {"moment_k": 2, "moment_j": 1} if mid == "moment_release" else {}
+    est = prepare(mid, PAIRS3 if two_col else X3, **kw).run(1.0, NoiseSource.seeded(3))
+    assert list(est.noisy_aggregates) == _TRAIL_KEYS[mid]
+
+
+def test_trail_keys_cover_every_mechanism():
+    assert set(_TRAIL_KEYS) == set(MECHANISM_IDS)
+
+
 def test_prepare_registry_and_validation():
     assert set(_VARCOV_IDS + _CORR_IDS + ("moment_release",)) == set(MECHANISM_IDS)
     with pytest.raises(DomainError):
@@ -509,7 +544,8 @@ def test_release_distribution_respects_privacy_ratio():
         rel = prepare_moment_release(data, 1, 1)
         src = NoiseSource.seeded(seed)
         noise = src.laplace_vector(rel.scale(eps), trials * rel.cells)
-        noisy = rel.kernel(noise.reshape(trials, rel.cells))[1]
+        mu = rel.kernel(noise.reshape(trials, rel.cells))
+        noisy = np.column_stack([mu[:, 0] - mu[:, 1], mu[:, 1]])  # basis cells M mu
         cell = 2 * (noisy[:, 0] >= edges[0]) + (noisy[:, 1] >= edges[1])
         return np.bincount(cell, minlength=4).reshape(2, 2) / trials
 

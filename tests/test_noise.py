@@ -13,7 +13,6 @@ from bezier_dp import (
     derive_seeds,
     derive_substream,
     laplace_rows,
-    laplace_sample,
 )
 
 # Published SplitMix64 output sequence for seed 1234567.
@@ -143,13 +142,6 @@ def test_scale_validation():
 def test_invalid_kind():
     with pytest.raises(DomainError):
         NoiseSource("fancy")
-
-
-def test_laplace_sample_wrapper():
-    assert laplace_sample(NoiseSource.zero(), 2.0) == 0.0
-    a = laplace_sample(NoiseSource.seeded(10), 2.0)
-    b = NoiseSource.seeded(10).laplace(2.0)
-    assert a == b
 
 
 def test_derive_seed_regression_and_validation():

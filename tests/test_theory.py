@@ -217,5 +217,10 @@ def test_predicted_normalized_mse_covariance_and_special():
         predicted_normalized_mse("no_such_mechanism", one, 1.0)
     with pytest.raises(DomainError):
         predicted_normalized_mse("bezier_variance", Dataset.empty(1), 1.0)
+    # the data must have the mechanism's column count
+    with pytest.raises(DomainError):
+        predicted_normalized_mse("bezier_variance", pairs, 1.0)
+    with pytest.raises(DomainError):
+        predicted_normalized_mse("swap_covariance", one, 1.0)
     with pytest.raises(DomainError):
         predicted_normalized_mse("swap_variance", one, 0.0)
