@@ -195,8 +195,8 @@ def bernstein_aggregate(values: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _program(k, d, inverse: bool):
-    """Validated cell count of (k, d), and the sums that apply M^-1 (or M).
+def _program(k, d):
+    """Validated cell count of (k, d), and the sums that apply M^-1.
 
     One pass per tensor mode.  A pass lists, per matrix row j, the index of
     the output slice j along that mode, its first term and the rest, each
@@ -206,12 +206,11 @@ def _program(k, d, inverse: bool):
     validated like any other.
     """
     k, d = _check_dims(k, d)
-    mat = bezier_inverse(k) if inverse else bezier_matrix(k)
     passes = []
     for axis in range(d):
         pick = (slice(None),) * axis
         rows = []
-        for j, row in enumerate(mat):
+        for j, row in enumerate(bezier_inverse(k)):
             terms = [(pick + (l,), float(v)) for l, v in enumerate(row) if v]
             first = terms.pop(0)
             if first[1] == 1.0 and terms and terms[0][1] == 1.0:
@@ -221,8 +220,21 @@ def _program(k, d, inverse: bool):
     return (k + 1) ** d, passes
 
 
-def _tensor_apply(k: int, d: int, vec, inverse: bool, offset=None) -> np.ndarray:
-    cells, passes = _program(k, d, inverse)
+def tensor_apply_inverse(k: int, d: int, vec: np.ndarray, offset=None) -> np.ndarray:
+    """Apply the inverse basis change along every tensor mode of flat vectors.
+
+    Maps (possibly noisy) Bernstein aggregates, shape (..., (k+1)^d), to the
+    corresponding unnormalized mixed power sums, without ever materializing
+    the (k+1)^d x (k+1)^d Kronecker matrix.  Each output is a sum of
+    elementwise products accumulated in a fixed order (no BLAS; products
+    with an entry of exactly 1 are skipped, which changes no bit), so a
+    row's result does not depend on how many rows are passed with it.
+
+    `offset`, a vector of length (k+1)^d, is added to every row's result
+    as its last step: ``offset + M^-1 vec``, the noisy power sums of a
+    release whose exact sums are `offset` and whose basis noise is `vec`.
+    """
+    cells, passes = _program(k, d)
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim == 0 or vec.shape[-1] != cells:
         raise DomainError(
@@ -263,27 +275,3 @@ def _tensor_apply(k: int, d: int, vec, inverse: bool, offset=None) -> np.ndarray
     if d > 1:
         t = t.reshape((cells,) + lead)
     return t.T if len(lead) <= 1 else np.moveaxis(t, 0, -1)
-
-
-def tensor_apply_inverse(k: int, d: int, vec: np.ndarray, offset=None) -> np.ndarray:
-    """Apply the inverse basis change along every tensor mode of flat vectors.
-
-    Maps (possibly noisy) Bernstein aggregates, shape (..., (k+1)^d), to the
-    corresponding unnormalized mixed power sums, without ever materializing
-    the (k+1)^d x (k+1)^d Kronecker matrix.  Each output is a sum of
-    elementwise products accumulated in a fixed order (no BLAS; products
-    with an entry of exactly 1 are skipped, which changes no bit), so a
-    row's result does not depend on how many rows are passed with it.
-
-    `offset`, a vector of length (k+1)^d, is added to every row's result
-    as its last step: ``offset + M^-1 vec``, the noisy power sums of a
-    release whose exact sums are `offset` and whose basis noise is `vec`.
-    """
-    return _tensor_apply(k, d, vec, True, offset)
-
-
-def tensor_apply_bezier(k: int, d: int, vec: np.ndarray) -> np.ndarray:
-    """The forward basis change M along every tensor mode: power sums to
-    Bernstein aggregates, in the same layout and summation order as
-    `tensor_apply_inverse`."""
-    return _tensor_apply(k, d, vec, False)

@@ -54,13 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bernstein import (
-    _check_dims,
-    bernstein_aggregate,  # noqa: F401  (traced under this name by perfbench/spans.py)
-    multi_indices,
-    tensor_apply_bezier,
-    tensor_apply_inverse,
-)
+from .bernstein import _check_dims, bernstein_aggregate, multi_indices, tensor_apply_inverse
 from .errors import DomainError, UndefinedStatisticError
 from .noise import NoiseSource
 from .stats import (
@@ -126,6 +120,7 @@ class Spec:
     c: float = 1.0
     split: float = 1.0
     basis: tuple[int, int] | None = None  # (k, d) of the M^-1 noise map
+    basis_cells: Callable | None = None  # (data, s) -> exact basis cells M s
     # audit trail: (name, index into s + L z); index None names the
     # unclipped value, and a composed record's indices pick part values
     keys: tuple = ()
@@ -152,12 +147,13 @@ class PreparedMechanism:
     one value per row.
     """
 
-    __slots__ = ("spec", "exact_value", "cells", "_sums", "_parts")
+    __slots__ = ("spec", "exact_value", "cells", "_data", "_sums", "_parts")
 
     def __init__(self, spec: Spec, data: Dataset):
         if data.d != spec.d:
             raise DomainError(f"{spec.id} needs d={spec.d} data, got d={data.d}")
         self.spec = spec
+        self._data = data
         self.exact_value = None if spec.exact is None else _try_exact(spec.exact, data)
         self.cells = spec.cells
         self._sums = None if spec.sums is None else spec.sums(data, self.exact_value)
@@ -216,9 +212,8 @@ class PreparedMechanism:
         spec, s = self.spec, self._sums
         trail = {}
         if spec.basis is not None:
-            k, d = spec.basis
-            b = tensor_apply_bezier(k, d, s[: self.cells]) + z
-            trail.update(zip((_agg_key("b", a) for a in multi_indices(k, d)), b))
+            b = spec.basis_cells(self._data, s) + z
+            trail.update(zip((_agg_key("b", a) for a in multi_indices(*spec.basis)), b))
         for name, i in spec.keys:
             trail[name] = raw if i is None else s[i] + x[i] if spec.shift else x[i]
         return trail
@@ -416,13 +411,17 @@ def _composed_post(_, values):
 def _basis_spec(k: int, d: int, **fields) -> Spec:
     """A degree-k, dimension-d release of every mixed power sum.
 
-    Defaults: the sums are the data's own power sums and the audit trail
-    names every recovered sum ``mu_...~``; `fields` may override both.
+    Defaults: the sums are the data's own power sums, the basis cells its
+    Bernstein aggregate (summed from the records, since M s cancels
+    catastrophically at high degree; the variance and covariance records
+    give M s in closed form), and the audit trail names every recovered
+    sum ``mu_...~``; `fields` may override all three.
     """
     k, d = _check_dims(k, d)
     defaults = {
         "d": d,
         "sums": lambda data, exact: _power_sums(data, k),
+        "basis_cells": lambda data, s: bernstein_aggregate(data.values, k),
         "keys": tuple((_agg_key("mu", a), i) for i, a in enumerate(multi_indices(k, d))),
     }
     return Spec(basis=(k, d), **{**defaults, **fields})
@@ -451,12 +450,16 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
 _BEZIER_VARIANCE = _basis_spec(
     2, 1, id="bezier_variance", statistic="variance", family="bezier",
     aliases=("bezier_var",), post=_VARIANCE_POST,
+    basis_cells=lambda data, s: np.array([s[0] - 2.0 * s[1] + s[2], 2.0 * (s[1] - s[2]), s[2]]),
     keys=_keys("n~ s_x~ s_x2~"), clip=VARIANCE_RANGE, exact=variance_exact,
     predict=partial(basis_variance_mse, "bezier"),
 )
 _BEZIER_COVARIANCE = _basis_spec(
     1, 2, id="bezier_covariance", statistic="covariance", family="bezier",
     aliases=("bezier_cov",), post=_ratio_post(ratio_covariance, _BASIS_COV, 0.0),
+    basis_cells=lambda data, s: np.array(
+        [s[0] - s[2] - s[1] + s[3], s[1] - s[3], s[2] - s[3], s[3]]
+    ),
     keys=_keys("n~ s_x~ s_y~ s_xy~", _BASIS_COV), clip=COVARIANCE_RANGE,
     exact=covariance_exact, predict=bezier_covariance_mse,
 )
@@ -469,10 +472,11 @@ _VARIANCE_VIA_COVARIANCE = dataclasses.replace(
     clip=VARIANCE_RANGE, exact=variance_exact,
     predict=partial(basis_variance_mse, "via_covariance"),
 )
-# basis cells (n - u, u): the degree-1 basis release of (n, u)
+# the degree-1 basis release of (n, u): basis cells (n - u, u)
 _TRANSFORMED_VARIANCE = _basis_spec(
     1, 1, id="transformed_variance", statistic="variance",
     aliases=("transformed", "transformed_var"), shift=True, sums=_shift_sums,
+    basis_cells=lambda data, s: np.array([s[0] - s[1], s[1]]),
     post=_shift_post(VARIANCE_RANGE), keys=_keys("n~ u~"), clip=VARIANCE_RANGE,
     exact=variance_exact, predict=partial(basis_variance_mse, "transformed"),
 )
