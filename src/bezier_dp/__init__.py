@@ -58,25 +58,11 @@ from .stats import (
 from .mechanisms import (
     MECHANISM_IDS,
     Estimate,
-    GeneralStatistic,
     PreparedMechanism,
-    bezier_covariance,
+    basis_spec,
     bezier_release,
-    bezier_variance,
-    centered_moment_statistic,
-    correlation_composed,
-    correlation_naive,
-    correlation_statistic,
-    general_statistic,
-    improved_add_remove,
-    kurtosis_statistic,
-    naive_add_remove,
     prepare,
     prepare_moment_release,
-    skewness_statistic,
-    swap_laplace,
-    transformed_variance,
-    variance_via_covariance,
 )
 from .theory import (
     InstanceConstants,
@@ -162,25 +148,11 @@ __all__ = [
     # mechanisms
     "MECHANISM_IDS",
     "Estimate",
-    "GeneralStatistic",
     "PreparedMechanism",
-    "bezier_covariance",
+    "basis_spec",
     "bezier_release",
-    "bezier_variance",
-    "centered_moment_statistic",
-    "correlation_composed",
-    "correlation_naive",
-    "correlation_statistic",
-    "general_statistic",
-    "improved_add_remove",
-    "kurtosis_statistic",
-    "naive_add_remove",
     "prepare",
     "prepare_moment_release",
-    "skewness_statistic",
-    "swap_laplace",
-    "transformed_variance",
-    "variance_via_covariance",
     # theory
     "InstanceConstants",
     "covariance_instance_constant",

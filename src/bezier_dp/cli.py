@@ -21,6 +21,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .harness import (
+    _STATISTICS,
     ExperimentConfig,
     parse_distribution,
     run_benchmark,
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", help="JSON experiment config (inline flags override)")
     ben.add_argument("--mechanisms", help="comma-separated mechanism ids/aliases")
     ben.add_argument("--epsilons", help="comma-separated epsilon values")
-    ben.add_argument("--statistic", choices=["variance", "covariance", "correlation", "moment"])
+    ben.add_argument("--statistic", choices=_STATISTICS)
     ben.add_argument("--distribution", help="uniform | beta:R | correlated:RHO | csv:PATH")
     ben.add_argument("--n", type=int, help="records per synthetic dataset")
     ben.add_argument("--trials", type=int)

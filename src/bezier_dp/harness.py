@@ -78,16 +78,17 @@ def resolve_mechanism(name: str, statistic: str) -> str:
 def _resolve_for_data(name: str, d: int) -> str:
     """Id for a mechanism name or alias given d-column data (the `estimate` path).
 
-    Plain aliases name one id.  A family alias takes the form for the first
-    statistic, in registry order, of d-column data: variance for one column,
-    covariance for two.  Unknown names pass through for `prepare` to reject.
+    Ids and plain aliases name one id whatever d is, so `prepare` can report
+    a dimension mismatch.  A family alias takes its first form, in registry
+    order, for d-column data: variance for one column, covariance for two.
+    Unknown names pass through for `prepare` to reject.
     """
-    for statistic in dict.fromkeys(spec.statistic for spec in REGISTRY.values()):
-        if statistic_dimension(statistic) == d:
-            try:
-                return resolve_mechanism(name, statistic)
-            except ConfigError:
-                pass
+    for spec in REGISTRY.values():
+        if name == spec.id or name in spec.aliases:
+            return spec.id
+    for spec in REGISTRY.values():
+        if name == spec.family and spec.d == d:
+            return spec.id
     return name
 
 

@@ -11,11 +11,13 @@ fixed, public record count.  Budgets:
                            the whole vector has L1 sensitivity 1, so a single
                            unit budget covers every cell simultaneously;
   * ``transformed_*``      two-cell variant releasing (n - u, u), u = n * var;
-  * ``correlation_*``      pipelines post-processing the above.
+  * ``correlation_*``      pipelines post-processing the above;
+  * ``bezier_skewness``, ``bezier_kurtosis``, ``bezier_centered_moment_*``
+                           post-processing one degree-3 or degree-4 release.
 
 Each mechanism id is one `Spec` record in `REGISTRY`; `prepare`, the
-release functions, the Monte Carlo engine, the predictions in `theory` and
-alias resolution in the harness all read it there.  A record holds:
+Monte Carlo engine, the predictions in `theory` and alias resolution in the
+harness all read it there.  A record holds:
 
   * its statistic, data dimension d, plain aliases and a family name
     (``bezier``, ``naive``, ...) that resolves per statistic;
@@ -247,11 +249,6 @@ def _cells_first(a):
     return a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)
 
 
-def _rows_last(a):
-    """(cells, ...) -> (..., cells), a view."""
-    return a.T if a.ndim <= 2 else np.moveaxis(a, 0, -1)
-
-
 def _check_eps(eps) -> float:
     eps = float(eps)
     if not eps > 0.0:
@@ -399,7 +396,8 @@ def _shift_post(rng: ClipRange):
 
 
 def _all_sums(s, mu):
-    return _rows_last(mu)
+    """Every recovered sum, (cells, ...) back to (..., cells), a view."""
+    return mu.T if mu.ndim <= 2 else np.moveaxis(mu, 0, -1)
 
 
 def _composed_post(_, values):
@@ -408,7 +406,48 @@ def _composed_post(_, values):
     return _ratio_guard(c, prod, prod > _TINY_VARPROD)
 
 
-def _basis_spec(k: int, d: int, **fields) -> Spec:
+def _central_moments(nn, mu, upto: int):
+    """Central moments 1..upto.  `np.power`, not `**`: on a single release's
+    numpy scalars `**` is libm's pow, which can differ from a block's loop."""
+    m = mu[1] / nn
+    out = {1: m}
+    if upto >= 2:
+        out[2] = mu[2] / nn - m * m
+    if upto >= 3:
+        out[3] = mu[3] / nn - 3.0 * m * (mu[2] / nn) + 2.0 * np.power(m, 3)
+    if upto >= 4:
+        out[4] = (
+            mu[4] / nn
+            - 4.0 * m * (mu[3] / nn)
+            + 6.0 * m * m * (mu[2] / nn)
+            - 3.0 * np.power(m, 4)
+        )
+    return out
+
+
+def _standardized_post(order: int):
+    """Skewness (3) or kurtosis (4); 0.0 where the noisy variance is not positive."""
+
+    def post(s, mu):
+        def value_of(nn):
+            cm = _central_moments(nn, mu, order)
+            ok = cm[2] > _TINY_VARPROD
+            var = np.where(ok, cm[2], 1.0)
+            return np.where(ok, cm[order] / np.power(var, order / 2.0), 0.0)
+
+        return _count_guard(mu[0], 0.0, value_of)
+
+    return post
+
+
+def _centered_post(order: int, rng: ClipRange):
+    def post(s, mu):
+        return _count_guard(mu[0], _mid(rng), lambda nn: _central_moments(nn, mu, order)[order])
+
+    return post
+
+
+def basis_spec(k: int, d: int, **fields) -> Spec:
     """A degree-k, dimension-d release of every mixed power sum.
 
     Defaults: the sums are the data's own power sums, the basis cells its
@@ -416,6 +455,9 @@ def _basis_spec(k: int, d: int, **fields) -> Spec:
     catastrophically at high degree; the variance and covariance records
     give M s in closed form), and the audit trail names every recovered
     sum ``mu_...~``; `fields` may override all three.
+
+    A custom statistic sets ``post(s, mu)``, mu[i] being recovered sum i of
+    every row, and binds with ``PreparedMechanism(basis_spec(...), data)``.
     """
     k, d = _check_dims(k, d)
     defaults = {
@@ -435,7 +477,7 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
     _check_dims(k, 1)
     if not 0 <= j <= k:
         raise DomainError(f"moment order must lie in [0, {k}], got {j}")
-    return _basis_spec(
+    return basis_spec(
         k, 1, id=spec.id, statistic=spec.statistic, aliases=spec.aliases,
         post=lambda s, mu: mu[j],
         exact=lambda data: float(moments_unnormalized(data, k)[j]),
@@ -447,14 +489,14 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
 # registry
 # ---------------------------------------------------------------------------
 
-_BEZIER_VARIANCE = _basis_spec(
+_BEZIER_VARIANCE = basis_spec(
     2, 1, id="bezier_variance", statistic="variance", family="bezier",
     aliases=("bezier_var",), post=_VARIANCE_POST,
     basis_cells=lambda data, s: np.array([s[0] - 2.0 * s[1] + s[2], 2.0 * (s[1] - s[2]), s[2]]),
     keys=_keys("n~ s_x~ s_x2~"), clip=VARIANCE_RANGE, exact=variance_exact,
     predict=partial(basis_variance_mse, "bezier"),
 )
-_BEZIER_COVARIANCE = _basis_spec(
+_BEZIER_COVARIANCE = basis_spec(
     1, 2, id="bezier_covariance", statistic="covariance", family="bezier",
     aliases=("bezier_cov",), post=_ratio_post(ratio_covariance, _BASIS_COV, 0.0),
     basis_cells=lambda data, s: np.array(
@@ -473,14 +515,14 @@ _VARIANCE_VIA_COVARIANCE = dataclasses.replace(
     predict=partial(basis_variance_mse, "via_covariance"),
 )
 # the degree-1 basis release of (n, u): basis cells (n - u, u)
-_TRANSFORMED_VARIANCE = _basis_spec(
+_TRANSFORMED_VARIANCE = basis_spec(
     1, 1, id="transformed_variance", statistic="variance",
     aliases=("transformed", "transformed_var"), shift=True, sums=_shift_sums,
     basis_cells=lambda data, s: np.array([s[0] - s[1], s[1]]),
     post=_shift_post(VARIANCE_RANGE), keys=_keys("n~ u~"), clip=VARIANCE_RANGE,
     exact=variance_exact, predict=partial(basis_variance_mse, "transformed"),
 )
-_CORRELATION_BEZIER = _basis_spec(
+_CORRELATION_BEZIER = basis_spec(
     2, 2, id="correlation_bezier", statistic="correlation", family="bezier",
     post=_CORRELATION_POST, clip=CORRELATION_RANGE,
     exact=correlation_exact,
@@ -551,6 +593,29 @@ REGISTRY: dict[str, Spec] = {
         _CORRELATION_COMPOSED,
         _CORRELATION_NAIVE,
         Spec("moment_release", "moment", 1, aliases=("moment",), params=_bind_moment),
+        # last: `estimate` reads a family alias on one column as its first d=1 form
+        basis_spec(
+            3, 1, id="bezier_skewness", statistic="skewness", family="bezier",
+            aliases=("skewness",), post=_standardized_post(3),
+            exact=partial(standardized_moment, order=3),
+        ),
+        basis_spec(
+            4, 1, id="bezier_kurtosis", statistic="kurtosis", family="bezier",
+            aliases=("kurtosis",), post=_standardized_post(4),
+            exact=partial(standardized_moment, order=4),
+        ),
+        basis_spec(
+            3, 1, id="bezier_centered_moment_3", statistic="centered_moment_3",
+            family="bezier", aliases=("centered_moment_3",),
+            post=_centered_post(3, CENTERED_THIRD_RANGE), clip=CENTERED_THIRD_RANGE,
+            exact=partial(centered_moment_exact, order=3),
+        ),
+        basis_spec(
+            4, 1, id="bezier_centered_moment_4", statistic="centered_moment_4",
+            family="bezier", aliases=("centered_moment_4",),
+            post=_centered_post(4, CENTERED_FOURTH_RANGE), clip=CENTERED_FOURTH_RANGE,
+            exact=partial(centered_moment_exact, order=4),
+        ),
     )
 }
 
@@ -578,79 +643,13 @@ def prepare(
     return PreparedMechanism(mechanism_spec(mechanism_id, moment_k, moment_j), data)
 
 
-def _family(family: str, stat: str) -> Spec:
-    if stat not in ("variance", "covariance"):
-        raise DomainError(f"stat must be 'variance' or 'covariance', got {stat!r}")
-    return next(s for s in REGISTRY.values() if s.family == family and s.statistic == stat)
-
-
-# ---------------------------------------------------------------------------
-# release functions
-# ---------------------------------------------------------------------------
-
-def swap_laplace(
-    data: Dataset,
-    stat: str,
-    eps: float,
-    source: NoiseSource,
-    clip_output: bool = False,
-) -> Estimate:
-    """Swap-model Laplace baseline: exact statistic + (1/n) Lap(1/eps)."""
-    spec = _family("swap", stat)
-    if clip_output:
-        spec = dataclasses.replace(
-            spec, clip=VARIANCE_RANGE if stat == "variance" else COVARIANCE_RANGE
-        )
-    return PreparedMechanism(spec, data).run(eps, source)
-
-
-def naive_add_remove(data: Dataset, stat: str, eps: float, source: NoiseSource) -> Estimate:
-    """Add-remove baseline: Lap(m/eps) on each of the m raw aggregates."""
-    return PreparedMechanism(_family("naive", stat), data).run(eps, source)
-
-
-def improved_add_remove(data: Dataset, stat: str, eps: float, source: NoiseSource) -> Estimate:
-    """Add-remove baseline with only two aggregates: count and n * statistic."""
-    return PreparedMechanism(_family("improved", stat), data).run(eps, source)
-
-
-def bezier_variance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Variance from a degree-2 Bernstein aggregate with unit L1 sensitivity."""
-    return PreparedMechanism(_BEZIER_VARIANCE, data).run(eps, source)
-
-
-def bezier_covariance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Covariance from a 2x2 tensor Bernstein aggregate, unit L1 sensitivity."""
-    return PreparedMechanism(_BEZIER_COVARIANCE, data).run(eps, source)
-
-
-def variance_via_covariance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Variance read off the covariance mechanism with a duplicated column."""
-    return PreparedMechanism(_VARIANCE_VIA_COVARIANCE, data).run(eps, source)
-
-
-def transformed_variance(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Two-cell release of (n - u, u), u = n * variance; unit L1 sensitivity."""
-    return PreparedMechanism(_TRANSFORMED_VARIANCE, data).run(eps, source)
-
-
-def correlation_composed(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Correlation from three separate basis releases, each on budget eps/3."""
-    return PreparedMechanism(_CORRELATION_COMPOSED, data).run(eps, source)
-
-
-def correlation_naive(data: Dataset, eps: float, source: NoiseSource) -> Estimate:
-    """Correlation from six independently noised raw sums (budget eps/6 each)."""
-    return PreparedMechanism(_CORRELATION_NAIVE, data).run(eps, source)
-
-
 def prepare_moment_release(data: Dataset, k: int, d: int = 1) -> PreparedMechanism:
     """Degree-k, dimension-d release of every mixed power sum.
 
     Its values are the recovered power-sum vectors, shape (..., (k+1)^d),
     in `multi_indices(k, d)` order.
     """
-    spec = _basis_spec(k, d, id="bezier_release", statistic=None, post=_all_sums)
+    spec = basis_spec(k, d, id="bezier_release", statistic=None, post=_all_sums)
     return PreparedMechanism(spec, data)
 
 
@@ -663,127 +662,3 @@ def bezier_release(
     back to power sums.  Entry order matches `multi_indices(k, d)`.
     """
     return prepare_moment_release(data, k, d).run_value(eps, source)
-
-
-# ---------------------------------------------------------------------------
-# general post-processed statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneralStatistic:
-    """A statistic computed by post-processing a full basis release.
-
-    `post_process` receives recovered power sums with shape (..., (k+1)^d),
-    last axis in `multi_indices(k, d)` order, and returns the statistic for
-    every row, shape (...); index it as `mu[..., i]` so one function serves
-    a single release and a block of trials.  `exact_fn`, when given,
-    computes the non-private truth for benchmarking.
-    """
-
-    name: str
-    k: int
-    d: int
-    post_process: Callable[[np.ndarray], np.ndarray]
-    clip: ClipRange | None = None
-    exact_fn: Callable[[Dataset], float] | None = None
-
-
-def general_statistic(
-    data: Dataset, stat: GeneralStatistic, eps: float, source: NoiseSource
-) -> Estimate:
-    """Release any statistic expressible from the power sums of one basis call."""
-    spec = _basis_spec(
-        stat.k, stat.d, id=stat.name, statistic=None, clip=stat.clip, exact=stat.exact_fn,
-        post=lambda s, mu: stat.post_process(_rows_last(mu)),
-    )
-    return PreparedMechanism(spec, data).run(eps, source)
-
-
-# -- built-in general statistics -------------------------------------------
-
-def correlation_statistic() -> GeneralStatistic:
-    """Pearson correlation from one degree-2, dimension-2 basis release."""
-    return GeneralStatistic(
-        name=_CORRELATION_BEZIER.id,
-        k=2,
-        d=2,
-        post_process=lambda mu: _CORRELATION_POST(None, _cells_first(mu)),
-        clip=CORRELATION_RANGE,
-        exact_fn=correlation_exact,
-    )
-
-
-def _central_moments(nn, mu: np.ndarray, upto: int):
-    m = mu[..., 1] / nn
-    out = {1: m}
-    if upto >= 2:
-        out[2] = mu[..., 2] / nn - m * m
-    if upto >= 3:
-        out[3] = mu[..., 3] / nn - 3.0 * m * (mu[..., 2] / nn) + 2.0 * m**3
-    if upto >= 4:
-        out[4] = (
-            mu[..., 4] / nn
-            - 4.0 * m * (mu[..., 3] / nn)
-            + 6.0 * m * m * (mu[..., 2] / nn)
-            - 3.0 * m**4
-        )
-    return out
-
-
-def _standardized_post(order: int):
-    def post(mu):
-        def value_of(nn):
-            cm = _central_moments(nn, mu, order)
-            ok = cm[2] > _TINY_VARPROD
-            var = np.where(ok, cm[2], 1.0)
-            return np.where(ok, cm[order] / var ** (order / 2.0), 0.0)
-
-        return _count_guard(mu[..., 0], 0.0, value_of)
-
-    return post
-
-
-def skewness_statistic() -> GeneralStatistic:
-    return GeneralStatistic(
-        name="skewness",
-        k=3,
-        d=1,
-        post_process=_standardized_post(3),
-        clip=None,
-        exact_fn=lambda data: standardized_moment(data, 3),
-    )
-
-
-def kurtosis_statistic() -> GeneralStatistic:
-    return GeneralStatistic(
-        name="kurtosis",
-        k=4,
-        d=1,
-        post_process=_standardized_post(4),
-        clip=None,
-        exact_fn=lambda data: standardized_moment(data, 4),
-    )
-
-
-def centered_moment_statistic(order: int) -> GeneralStatistic:
-    """Central moment E[(x - mean)^order] for order 3 or 4, range-clipped."""
-    if order == 3:
-        rng = CENTERED_THIRD_RANGE
-    elif order == 4:
-        rng = CENTERED_FOURTH_RANGE
-    else:
-        raise DomainError(f"centered moment supports order 3 or 4, got {order}")
-
-    def post(mu):
-        return _count_guard(
-            mu[..., 0], _mid(rng), lambda nn: _central_moments(nn, mu, order)[order]
-        )
-
-    return GeneralStatistic(
-        name=f"centered_moment_{order}",
-        k=order,
-        d=1,
-        post_process=post,
-        clip=rng,
-        exact_fn=lambda data: centered_moment_exact(data, order),
-    )

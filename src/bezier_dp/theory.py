@@ -218,9 +218,9 @@ def predicted_normalized_mse(
     Instance quantities (means, variances, covariance) are measured from the
     dataset itself, which must have the mechanism's number of columns.
     Returns None for mechanisms without a closed form (the correlation
-    pipelines).  For ``moment_release`` the prediction is n^2 times the raw
-    power-sum MSE so that it lives on the same normalized scale as every
-    other row.
+    pipelines and the moments beyond the variance).  For ``moment_release``
+    the prediction is n^2 times the raw power-sum MSE so that it lives on
+    the same normalized scale as every other row.
     """
     eps = float(eps)
     if not eps > 0.0:

@@ -96,10 +96,34 @@ def test_estimate_alias_resolution(data_csv, pair_csv, capsys):
     argv[4] = "naive"
     assert main(argv) == EXIT_OK
     assert "mechanism=naive_covariance" in capsys.readouterr().out
+    # ... and its variance form on one
+    argv[2], argv[4] = data_csv, "bezier"
+    assert main(argv) == EXIT_OK
+    assert "mechanism=bezier_variance" in capsys.readouterr().out
+    argv[4] = "skewness"
+    assert main(argv) == EXIT_OK
+    assert "mechanism=bezier_skewness" in capsys.readouterr().out
     # the bare moment alias needs its degree and power
     rc = main(["estimate", "--data", data_csv, "--mechanism", "moment", "--epsilon", "1"])
     assert rc == EXIT_CONFIG
     assert "moment:K:J" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mechanism, csv, message",
+    [
+        ("transformed", "pair", "transformed_variance needs d=1 data, got d=2"),
+        ("composed", "single", "correlation_composed needs d=2 data, got d=1"),
+        ("moment:2:1", "pair", "moment_release needs d=1 data, got d=2"),
+    ],
+)
+def test_estimate_alias_on_wrong_column_count(mechanism, csv, message, data_csv, pair_csv, capsys):
+    # an id or plain alias resolves whatever the column count; prepare then
+    # names the dimension mismatch instead of calling the alias unknown
+    path = pair_csv if csv == "pair" else data_csv
+    rc = main(["estimate", "--data", path, "--mechanism", mechanism, "--epsilon", "1"])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_estimate_moment_syntax(data_csv, capsys):
@@ -188,6 +212,15 @@ def test_benchmark_correlation_prediction_dash(capsys):
     assert rc == EXIT_OK
     body = capsys.readouterr().out.strip().split("\n")[1]
     assert body.split()[-1] == "-"
+
+
+def test_benchmark_statistic_choices_come_from_the_registry(capsys):
+    rc = main(
+        ["benchmark", "--mechanisms", "bezier", "--statistic", "skewness",
+         "--epsilons", "1", "--trials", "10"]
+    )
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.split("\n")[1].startswith("bezier_skewness")
 
 
 def test_benchmark_error_exit_codes(tmp_path, capsys):

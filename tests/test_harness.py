@@ -26,7 +26,7 @@ from bezier_dp import (
     statistic_dimension,
     variance_exact,
 )
-from bezier_dp.harness import DATA_CHANNEL, _resolve_threads, _trial_blocks
+from bezier_dp.harness import _STATISTICS, DATA_CHANNEL, _resolve_threads, _trial_blocks
 
 
 def _cfg(**kw):
@@ -55,6 +55,10 @@ _ALIASES = {
     ("swap_cov", "covariance"): "swap_covariance",
     ("composed", "correlation"): "correlation_composed",
     ("moment", "moment"): "moment_release",
+    ("skewness", "skewness"): "bezier_skewness",
+    ("kurtosis", "kurtosis"): "bezier_kurtosis",
+    ("centered_moment_3", "centered_moment_3"): "bezier_centered_moment_3",
+    ("centered_moment_4", "centered_moment_4"): "bezier_centered_moment_4",
     # family aliases name one member per statistic
     ("swap", "variance"): "swap_variance",
     ("swap", "covariance"): "swap_covariance",
@@ -66,6 +70,10 @@ _ALIASES = {
     ("bezier", "variance"): "bezier_variance",
     ("bezier", "covariance"): "bezier_covariance",
     ("bezier", "correlation"): "correlation_bezier",
+    ("bezier", "skewness"): "bezier_skewness",
+    ("bezier", "kurtosis"): "bezier_kurtosis",
+    ("bezier", "centered_moment_3"): "bezier_centered_moment_3",
+    ("bezier", "centered_moment_4"): "bezier_centered_moment_4",
 }
 
 
@@ -74,7 +82,7 @@ def test_resolve_mechanism_aliases():
         assert resolve_mechanism(name, statistic) == want, (name, statistic)
     for mid in MECHANISM_IDS:  # an id resolves to itself, for one statistic only
         resolved = []
-        for statistic in ("variance", "covariance", "correlation", "moment"):
+        for statistic in _STATISTICS:
             try:
                 resolved.append(resolve_mechanism(mid, statistic))
             except ConfigError:

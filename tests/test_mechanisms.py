@@ -14,35 +14,29 @@ from bezier_dp import (
     MECHANISM_IDS,
     NoiseRows,
     NoiseSource,
+    PreparedMechanism,
     ReplayExhaustedError,
     UndefinedStatisticError,
-    bezier_covariance,
+    basis_spec,
     bezier_release,
-    bezier_variance,
-    centered_moment_statistic,
-    correlation_composed,
     correlation_exact,
-    correlation_naive,
-    correlation_statistic,
     covariance_exact,
     derive_seeds,
     derive_substream,
-    general_statistic,
-    improved_add_remove,
-    kurtosis_statistic,
     laplace_rows,
     moments_unnormalized,
-    naive_add_remove,
     prepare,
     prepare_moment_release,
-    skewness_statistic,
-    swap_laplace,
-    transformed_variance,
     variance_exact,
-    variance_via_covariance,
 )
 from bezier_dp.bernstein import bernstein_aggregate, tensor_apply_inverse
-from bezier_dp.stats import centered_moment_exact, ratio_covariance, ratio_variance
+from bezier_dp.stats import (
+    CENTERED_FOURTH_RANGE,
+    CENTERED_THIRD_RANGE,
+    centered_moment_exact,
+    ratio_covariance,
+    ratio_variance,
+)
 
 X3 = Dataset([0.2, 0.4, 0.9])  # n=3, sum=1.5, sum of squares=1.01
 PAIRS3 = Dataset([[0.1, 0.3], [0.5, 0.9], [1.0, 0.2]])  # sx=1.6 sy=1.4 sxy=0.68
@@ -60,6 +54,13 @@ _VARCOV_IDS = (
     "transformed_variance",
 )
 _CORR_IDS = ("correlation_bezier", "correlation_composed", "correlation_naive")
+# moments beyond the variance, with the degree of their basis release
+_BEYOND_VARIANCE_IDS = {
+    "bezier_skewness": 3,
+    "bezier_kurtosis": 4,
+    "bezier_centered_moment_3": 3,
+    "bezier_centered_moment_4": 4,
+}
 
 
 def _random_dataset(rng, d):
@@ -112,15 +113,11 @@ def test_zero_noise_moment_release_recovers_power_sums():
 # ---------------------------------------------------------------------------
 
 def test_swap_draw_and_scaling():
-    est = swap_laplace(X3, "variance", 1.0, NoiseSource.replay([0.09]))
+    est = prepare("swap_variance", X3).run(1.0, NoiseSource.replay([0.09]))
     want = variance_exact(X3) + 0.09 / 3.0
     assert est.value == want
-    assert est.clip_applied is None  # unclipped by default
+    assert est.clip_applied is None  # unclipped
     assert est.noisy_aggregates == {"stat~": want}
-    # opt-in clipping
-    big = swap_laplace(X3, "variance", 1.0, NoiseSource.replay([9.0]), clip_output=True)
-    assert big.value == VARIANCE_RANGE.hi
-    assert big.clip_applied == VARIANCE_RANGE
 
 
 def _sums1(data):
@@ -138,7 +135,7 @@ def _sums2(data):
 def test_naive_variance_draw_order():
     n, s1, s2 = _sums1(X3)
     z = [1.0, 2.0, 3.0]  # order: count, sum x, sum x^2
-    est = naive_add_remove(X3, "variance", 1.0, NoiseSource.replay(z))
+    est = prepare("naive_variance", X3).run(1.0, NoiseSource.replay(z))
     assert est.value == ratio_variance(n + 1.0, s1 + 2.0, s2 + 3.0)
     assert est.noisy_aggregates == {"n~": n + 1.0, "s_x~": s1 + 2.0, "s_x2~": s2 + 3.0}
 
@@ -146,7 +143,7 @@ def test_naive_variance_draw_order():
 def test_naive_covariance_draw_order():
     n, sx, sy, sxy = _sums2(PAIRS3)
     z = [0.1, -0.2, 0.3, 0.05]  # order: count, sum x, sum y, sum xy
-    est = naive_add_remove(PAIRS3, "covariance", 1.0, NoiseSource.replay(z))
+    est = prepare("naive_covariance", PAIRS3).run(1.0, NoiseSource.replay(z))
     assert est.value == ratio_covariance(n + 0.1, sx + -0.2, sy + 0.3, sxy + 0.05)
     assert est.noisy_aggregates["s_x~"] == pytest.approx(1.4)
     assert est.noisy_aggregates["s_y~"] == pytest.approx(1.7)
@@ -155,12 +152,12 @@ def test_naive_covariance_draw_order():
 def test_improved_draw_order():
     v = variance_exact(X3)
     z = [0.5, 0.1]  # order: count, unnormalized statistic
-    est = improved_add_remove(X3, "variance", 1.0, NoiseSource.replay(z))
+    est = prepare("improved_variance", X3).run(1.0, NoiseSource.replay(z))
     assert est.value == v + (0.1 - v * 0.5) / 3.5
     assert est.noisy_aggregates["n~"] == 3.5
     assert est.noisy_aggregates["u~"] == pytest.approx(3.0 * v + 0.1)
     # a large negative draw on the unnormalized cell clips to the floor
-    low = improved_add_remove(X3, "variance", 1.0, NoiseSource.replay([0.5, -0.3]))
+    low = prepare("improved_variance", X3).run(1.0, NoiseSource.replay([0.5, -0.3]))
     assert low.value == 0.0
 
 
@@ -169,7 +166,7 @@ def test_bezier_variance_cell_mapping():
     # inverse matrix rows (1,1,1), (0,1/2,1), (0,0,1)
     n, s1, s2 = _sums1(X3)
     a, b, c = 0.3, -0.4, 0.12
-    est = bezier_variance(X3, 1.0, NoiseSource.replay([a, b, c]))
+    est = prepare("bezier_variance", X3).run(1.0, NoiseSource.replay([a, b, c]))
     nn = n + (a + b + c)
     sx = s1 + (0.5 * b + c)
     sq = s2 + c
@@ -186,7 +183,7 @@ def test_bezier_variance_cell_mapping():
 def test_bezier_covariance_cell_mapping_matches_tensor_inverse():
     n, sx, sy, sxy = _sums2(PAIRS3)
     z = np.array([0.1, -0.2, 0.3, 0.05])  # cells (0,0), (0,1), (1,0), (1,1)
-    est = bezier_covariance(PAIRS3, 1.0, NoiseSource.replay(list(z)))
+    est = prepare("bezier_covariance", PAIRS3).run(1.0, NoiseSource.replay(list(z)))
     nn = n + (z[0] + z[1] + z[2] + z[3])
     ax = sx + (z[2] + z[3])
     ay = sy + (z[1] + z[3])
@@ -201,7 +198,7 @@ def test_bezier_covariance_cell_mapping_matches_tensor_inverse():
 def test_variance_via_covariance_duplicates_column():
     n, s1, s2 = _sums1(X3)
     z = [0.1, -0.2, 0.3, 0.05]
-    est = variance_via_covariance(X3, 1.0, NoiseSource.replay(z))
+    est = prepare("variance_via_covariance", X3).run(1.0, NoiseSource.replay(z))
     nn = n + (z[0] + z[1] + z[2] + z[3])
     ax = s1 + (z[2] + z[3])
     ay = s1 + (z[1] + z[3])
@@ -209,14 +206,14 @@ def test_variance_via_covariance_duplicates_column():
     assert est.value == ratio_covariance(nn, ax, ay, axy)
     assert est.clip_applied == VARIANCE_RANGE
     # noise pushing the inner covariance negative clips to the variance floor
-    low = variance_via_covariance(X3, 1.0, NoiseSource.replay([0, 0, 0, -5.0]))
+    low = prepare("variance_via_covariance", X3).run(1.0, NoiseSource.replay([0, 0, 0, -5.0]))
     assert low.value == 0.0
 
 
 def test_transformed_variance_cells():
     v = variance_exact(X3)
     z = [0.4, -0.1]  # cells: n - u, u
-    est = transformed_variance(X3, 1.0, NoiseSource.replay(z))
+    est = prepare("transformed_variance", X3).run(1.0, NoiseSource.replay(z))
     zt = 0.4 + -0.1
     assert est.value == v + (-0.1 - v * zt) / (3.0 + zt)
     assert est.noisy_aggregates["b_0~"] == pytest.approx(3.0 - 3.0 * v + 0.4)
@@ -237,7 +234,7 @@ def test_moment_release_replay_matches_manual_inverse():
 
 def test_correlation_naive_draw_order():
     z = [0.0, 0.0, 0.0, 0.0, 0.0, 0.3]  # only the xy sum perturbed
-    est = correlation_naive(PAIRS3, 1.0, NoiseSource.replay(z))
+    est = prepare("correlation_naive", PAIRS3).run(1.0, NoiseSource.replay(z))
     vx = ratio_variance(3.0, 1.6, float(np.sum(PAIRS3.column(0) ** 2)))
     vy = ratio_variance(3.0, 1.4, float(np.sum(PAIRS3.column(1) ** 2)))
     c = ratio_covariance(3.0, 1.6, 1.4, 0.98)
@@ -260,6 +257,7 @@ def test_draw_counts():
         "correlation_bezier": 9,
         "correlation_composed": 10,
         "correlation_naive": 6,
+        **{mid: k + 1 for mid, k in _BEYOND_VARIANCE_IDS.items()},
     }
     for mid, n_draws in expected.items():
         data = PAIRS3 if ("covariance" in mid or "correlation" in mid) else X3
@@ -274,9 +272,9 @@ def test_draw_counts():
 
 def test_replay_budget_exhaustion():
     with pytest.raises(ReplayExhaustedError):
-        bezier_covariance(PAIRS3, 1.0, NoiseSource.replay([0.1, 0.2]))
+        prepare("bezier_covariance", PAIRS3).run(1.0, NoiseSource.replay([0.1, 0.2]))
     with pytest.raises(ReplayExhaustedError):
-        correlation_composed(PAIRS3, 1.0, NoiseSource.replay([0.0] * 9))
+        prepare("correlation_composed", PAIRS3).run(1.0, NoiseSource.replay([0.0] * 9))
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +284,27 @@ def test_replay_budget_exhaustion():
 def test_clipping_to_attainable_ranges():
     # deflating the middle cell shrinks count and sum but not the square sum,
     # so the variance ratio blows past its ceiling
-    est = bezier_variance(X3, 1.0, NoiseSource.replay([0.0, -2.8, 0.0]))
+    est = prepare("bezier_variance", X3).run(1.0, NoiseSource.replay([0.0, -2.8, 0.0]))
     assert est.value == VARIANCE_RANGE.hi
-    est = bezier_variance(X3, 1.0, NoiseSource.replay([-2.0, 0.0, 0.0]))
+    est = prepare("bezier_variance", X3).run(1.0, NoiseSource.replay([-2.0, 0.0, 0.0]))
     assert est.value == VARIANCE_RANGE.lo
-    est = naive_add_remove(X3, "variance", 1.0, NoiseSource.replay([0.0, 0.0, -50.0]))
+    est = prepare("naive_variance", X3).run(1.0, NoiseSource.replay([0.0, 0.0, -50.0]))
     assert est.value == VARIANCE_RANGE.lo
-    est = bezier_covariance(PAIRS3, 1.0, NoiseSource.replay([0.0, -1.3, -1.3, 1.3]))
+    est = prepare("bezier_covariance", PAIRS3).run(1.0, NoiseSource.replay([0.0, -1.3, -1.3, 1.3]))
     assert est.value == COVARIANCE_RANGE.hi
-    est = bezier_covariance(PAIRS3, 1.0, NoiseSource.replay([-2.0, 0.0, 0.0, 0.0]))
+    est = prepare("bezier_covariance", PAIRS3).run(1.0, NoiseSource.replay([-2.0, 0.0, 0.0, 0.0]))
     assert est.value == COVARIANCE_RANGE.lo
-    est = correlation_naive(PAIRS3, 1.0, NoiseSource.replay([0, 0, 0, 0, 0, 9.0]))
+    est = prepare("correlation_naive", PAIRS3).run(1.0, NoiseSource.replay([0, 0, 0, 0, 0, 9.0]))
     assert est.value == 1.0
 
 
 def test_degenerate_noisy_count_returns_midpoint():
     z = [-1.0, -1.0, -1.0]  # count lands exactly on zero
-    est = bezier_variance(X3, 1.0, NoiseSource.replay(z))
+    est = prepare("bezier_variance", X3).run(1.0, NoiseSource.replay(z))
     assert est.value == 0.125
-    est = naive_add_remove(PAIRS3, "covariance", 1.0, NoiseSource.replay([-3.0, 0, 0, 0]))
+    est = prepare("naive_covariance", PAIRS3).run(1.0, NoiseSource.replay([-3.0, 0, 0, 0]))
     assert est.value == 0.0
-    est = variance_via_covariance(X3, 1.0, NoiseSource.replay([-3.0, 0, 0, 0]))
+    est = prepare("variance_via_covariance", X3).run(1.0, NoiseSource.replay([-3.0, 0, 0, 0]))
     assert est.value == 0.0  # inner covariance midpoint, re-clipped
     # empty dataset, zero noise: improved falls back to the midpoint
     prep = prepare("improved_variance", Dataset.empty(1))
@@ -338,41 +336,40 @@ def test_seeded_outputs_stay_in_clip_range():
 
 
 # ---------------------------------------------------------------------------
-# general post-processed statistics
+# moments beyond the variance and custom basis records
 # ---------------------------------------------------------------------------
 
 def test_skewness_kurtosis_zero_noise_vs_scipy():
     rng = np.random.default_rng(105)
     x = rng.uniform(0, 1, 300)
     data = Dataset(x)
-    est = general_statistic(data, skewness_statistic(), 1.0, NoiseSource.zero())
+    est = prepare("bezier_skewness", data).run(1.0, NoiseSource.zero())
     assert est.value == pytest.approx(float(scipy.stats.skew(x)), abs=1e-9)
-    assert est.mechanism_id == "skewness"
-    est = general_statistic(data, kurtosis_statistic(), 1.0, NoiseSource.zero())
+    assert est.mechanism_id == "bezier_skewness"
+    est = prepare("bezier_kurtosis", data).run(1.0, NoiseSource.zero())
     assert est.value == pytest.approx(
         float(scipy.stats.kurtosis(x, fisher=False)), abs=1e-9
     )
 
 
-def test_centered_moment_statistic():
+def test_centered_moment_records():
     rng = np.random.default_rng(106)
     x = rng.uniform(0, 1, 200)
     data = Dataset(x)
-    for order in (3, 4):
-        stat = centered_moment_statistic(order)
-        est = general_statistic(data, stat, 1.0, NoiseSource.zero())
+    for order, clip_range in ((3, CENTERED_THIRD_RANGE), (4, CENTERED_FOURTH_RANGE)):
+        est = prepare(f"bezier_centered_moment_{order}", data).run(1.0, NoiseSource.zero())
         assert est.value == pytest.approx(centered_moment_exact(data, order), abs=1e-9)
-        assert est.clip_applied == stat.clip
+        assert est.clip_applied == clip_range
     with pytest.raises(DomainError):
-        centered_moment_statistic(2)
+        prepare("bezier_centered_moment_2", data)
 
 
-def test_general_statistic_audit_trail():
-    est = general_statistic(
-        Dataset([[0.2, 0.8], [0.6, 0.4], [0.9, 0.9]]),
-        correlation_statistic(),
-        1.0,
-        NoiseSource.zero(),
+def test_custom_basis_spec_audit_trail():
+    # a user-defined statistic on one degree-2, dimension-2 release: the mean
+    # of x*y, recovered sum (1, 1) over the count
+    spec = basis_spec(2, 2, id="mean_xy", statistic=None, post=lambda s, mu: mu[4] / mu[0])
+    est = PreparedMechanism(spec, Dataset([[0.2, 0.8], [0.6, 0.4], [0.9, 0.9]])).run(
+        1.0, NoiseSource.zero()
     )
     # 9 basis cells + 9 recovered power sums
     assert len(est.noisy_aggregates) == 18
@@ -381,6 +378,7 @@ def test_general_statistic_audit_trail():
     assert est.noisy_aggregates["mu_{1,1}~"] == pytest.approx(
         float(np.sum([0.2 * 0.8, 0.6 * 0.4, 0.9 * 0.9])), rel=1e-12
     )
+    assert est.value == pytest.approx(est.noisy_aggregates["mu_{1,1}~"] / 3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +404,10 @@ _TRAIL_KEYS = {
     "correlation_composed": ["c~", "v_x~", "v_y~"],
     "correlation_naive": ["n~", "s_x~", "s_y~", "s_x2~", "s_y2~", "s_xy~"],
     "moment_release": ["b_0~", "b_1~", "b_2~", "mu_0~", "mu_1~", "mu_2~"],
+    **{
+        mid: [f"{p}_{j}~" for p in ("b", "mu") for j in range(k + 1)]
+        for mid, k in _BEYOND_VARIANCE_IDS.items()
+    },
 }
 
 
@@ -422,7 +424,8 @@ def test_trail_keys_cover_every_mechanism():
 
 
 def test_prepare_registry_and_validation():
-    assert set(_VARCOV_IDS + _CORR_IDS + ("moment_release",)) == set(MECHANISM_IDS)
+    ids = _VARCOV_IDS + _CORR_IDS + ("moment_release",) + tuple(_BEYOND_VARIANCE_IDS)
+    assert set(ids) == set(MECHANISM_IDS)
     with pytest.raises(DomainError):
         prepare("no_such_mechanism", X3)
     with pytest.raises(DomainError):
@@ -435,8 +438,6 @@ def test_prepare_registry_and_validation():
         prepare("transformed_variance", PAIRS3)
     with pytest.raises(UndefinedStatisticError):
         prepare("swap_variance", Dataset.empty(1))
-    with pytest.raises(DomainError):
-        swap_laplace(X3, "mean", 1.0, NoiseSource.zero())
 
 
 def test_epsilon_validation():
@@ -475,6 +476,7 @@ def _kernel_cases():
         two_col = mid in _CORR_IDS or ("covariance" in mid and mid != "variance_via_covariance")
         cases.append((mid, biv if two_col else uni, {}))
     cases.append(("moment_release", uni, {"moment_k": 4, "moment_j": 2}))
+    cases += [(mid, uni, {}) for mid in _BEYOND_VARIANCE_IDS]
     return cases
 
 
@@ -504,7 +506,7 @@ def test_kernel_cases_cover_every_mechanism():
 def test_kernel_mixes_degenerate_and_regular_rows():
     rows = [[-1.0, -1.0, -1.0], [0.1, 0.2, 0.3], [0.0, -2.8, 0.0], [-2.0, 0.0, 0.0]]
     prep = prepare("bezier_variance", X3)
-    want = [bezier_variance(X3, 1.0, NoiseSource.replay(r)).value for r in rows]
+    want = [prepare("bezier_variance", X3).run(1.0, NoiseSource.replay(r)).value for r in rows]
     assert prep.kernel(np.array(rows)).tolist() == want
     flat = Dataset([[0.5, 0.2], [0.5, 0.8]])  # zero x-variance
     for mid in _CORR_IDS:

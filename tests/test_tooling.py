@@ -22,3 +22,10 @@ def test_perfbench_span_targets_resolve():
     targets = _load_spans().library_targets(bezier_dp)
     missing = [name for owner, attr, name in targets if not callable(getattr(owner, attr, None))]
     assert targets and not missing
+
+
+def test_package_all_names_resolve():
+    # `from bezier_dp import *` fails on a name `__all__` lists but the
+    # package no longer defines
+    missing = [name for name in bezier_dp.__all__ if not hasattr(bezier_dp, name)]
+    assert not missing
