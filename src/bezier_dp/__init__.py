@@ -38,6 +38,7 @@ from .noise import (
     derive_seeds,
     derive_substream,
     laplace_rows,
+    uniforms01_rows,
 )
 from .stats import (
     CORRELATION_RANGE,
@@ -80,6 +81,7 @@ from .audit import (
     bernstein_map,
     builtin_maps,
     empirical_sensitivity,
+    neighbor_pair_block,
     random_neighbor_pair,
     swap_covariance_map,
     swap_variance_map,
@@ -130,6 +132,7 @@ __all__ = [
     "derive_seeds",
     "derive_substream",
     "laplace_rows",
+    "uniforms01_rows",
     # data / exact statistics
     "CORRELATION_RANGE",
     "COVARIANCE_RANGE",
@@ -168,6 +171,7 @@ __all__ = [
     "bernstein_map",
     "builtin_maps",
     "empirical_sensitivity",
+    "neighbor_pair_block",
     "random_neighbor_pair",
     "swap_covariance_map",
     "swap_variance_map",

@@ -6,6 +6,13 @@ neighboring model".  This module stress-tests those claims on randomly
 generated neighbor pairs whose records are drawn from an adversarial mixture
 (uniform mass, exact corners, strongly edge-concentrated values), across a
 spread of dataset sizes including the empty dataset.
+
+Pairs are generated in blocks of equally sized datasets (`neighbor_pair_block`)
+and every built-in map has a block form, `map.block`, from (pairs, n, d)
+records to (pairs, m) values; the per-dataset maps are its one-row case.
+Because each pair's uniforms come from its own counter-based stream and
+every sum runs within one dataset, a pair's values do not depend on the
+block it is generated or mapped in.
 """
 
 from __future__ import annotations
@@ -15,12 +22,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .noise import NoiseSource, derive_seed
-from .stats import Dataset, covariance_exact, unnormalized_covariance, unnormalized_variance, variance_exact
+from .errors import DomainError, UndefinedStatisticError
+from .noise import derive_seed, derive_seeds, uniforms01_rows
+from .stats import COVARIANCE_RANGE, VARIANCE_RANGE, Dataset, ratio_covariance, ratio_variance
 from .bernstein import bernstein_aggregate
 
 MODELS = ("add-remove", "swap")
+
+# Records (base plus extended, over all pairs) in one block of neighbor
+# pairs; a size class with more pairs is split over several blocks, which
+# changes no value.  At the audit's default sizes, 8x larger blocks ran no
+# faster and raised the peak RSS of a 600-pair audit by about 1.5 MB.
+_BLOCK_RECORDS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -46,45 +59,66 @@ class NeighborPair:
                 raise DomainError("swap neighbors need at least one record")
 
 
-def _mixture_records(src: NoiseSource, count: int, d: int) -> np.ndarray:
-    """Adversarial record mixture: uniform, exact corners, edge-concentrated."""
-    if count == 0:
-        return np.empty((0, d))
-    cat = src.uniforms01(count * d)
-    val = src.uniforms01(count * d)
-    side = src.uniforms01(count * d)
-    out = np.where(
-        cat < 0.4,
-        val,
-        np.where(
-            cat < 0.7,
-            np.round(val),  # exact 0/1 corners
-            np.where(side < 0.5, val**8, 1.0 - val**8),
-        ),
-    )
-    return out.reshape(count, d)
+def neighbor_pair_block(
+    n: int, d: int, model: str, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor pairs of base size n with d-dimensional records, one per seed.
 
-
-def random_neighbor_pair(
-    n: int, d: int, model: str, rng_seed: int
-) -> NeighborPair:
-    """Deterministic neighbor pair of base size n with d-dimensional records."""
+    Returns (base, extended) record arrays of shapes (pairs, n, d) and
+    (pairs, n+1, d) under add-remove, or (pairs, n, d) each under swap.
+    Pair i reads the uniforms of the SplitMix64 stream seeded with seeds[i]
+    in order: 3nd for the base records (the category, value and side of
+    every coordinate, one full pass each), 3d likewise for the fresh record,
+    and under swap one more for the base position the fresh record replaces.
+    """
     if model not in MODELS:
         raise DomainError(f"model must be one of {MODELS}, got {model!r}")
     if n < 0 or (model == "swap" and n < 1):
         raise DomainError(f"invalid base size {n} for model {model!r}")
     if d < 1:
         raise DomainError(f"record dimension must be >= 1, got {d}")
-    src = NoiseSource.seeded(rng_seed)
-    base_vals = _mixture_records(src, n, d)
-    fresh = _mixture_records(src, 1, d)
+    n, d = int(n), int(d)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    pairs, nd = seeds.shape[0], n * d
+    u = uniforms01_rows(seeds, 3 * (nd + d) + (model == "swap"))
+
+    def coords(i):  # uniform i of every coordinate: base records, then fresh
+        fresh = 3 * nd + i * d
+        return np.concatenate(
+            [u[:, i * nd : (i + 1) * nd], u[:, fresh : fresh + d]], axis=1
+        ).reshape(pairs, n + 1, d)
+
+    # adversarial mixture: uniform, exact 0/1 corners, edge-concentrated
+    cat, val, side = coords(0), coords(1), coords(2)
+    recs = np.where(
+        cat < 0.4,
+        val,
+        np.where(
+            cat < 0.7,
+            np.round(val),
+            np.where(side < 0.5, val**8, 1.0 - val**8),
+        ),
+    )
+    Dataset(recs.reshape(-1, d), d=d)  # the range check, once for the block
+    base = recs[:, :n].copy()
     if model == "add-remove":
-        ext_vals = np.concatenate([base_vals, fresh], axis=0)
-    else:
-        pos = min(n - 1, int(src.uniforms01(1)[0] * n))
-        ext_vals = base_vals.copy()
-        ext_vals[pos] = fresh[0]
-    return NeighborPair(Dataset(base_vals, d=d), Dataset(ext_vals, d=d), model)
+        return base, recs
+    ext = base.copy()
+    pos = np.minimum((u[:, -1] * n).astype(np.int64), n - 1)
+    ext[np.arange(pairs), pos] = recs[:, n]
+    return base, ext
+
+
+def random_neighbor_pair(
+    n: int, d: int, model: str, rng_seed: int
+) -> NeighborPair:
+    """Deterministic neighbor pair of base size n with d-dimensional records.
+
+    The one-pair case of `neighbor_pair_block`, on the stream seeded with
+    `rng_seed`.
+    """
+    base, ext = neighbor_pair_block(n, d, model, [int(rng_seed) % (1 << 64)])
+    return NeighborPair(Dataset(base[0], d=d), Dataset(ext[0], d=d), model)
 
 
 @dataclass(frozen=True)
@@ -109,7 +143,14 @@ def empirical_sensitivity(
     d: int = 1,
     map_name: str = "custom",
 ) -> SensitivityReport:
-    """Sample neighbor pairs and track the extremes of the map's L1 difference."""
+    """Sample neighbor pairs and track the extremes of the map's L1 difference.
+
+    Trial t audits the pair of base size ``sizes[t % len(sizes)]`` drawn
+    from seed ``derive_seed(seed, t, 0)``.  A map with a block form
+    (``map_fn.block``, as every built-in map has) is evaluated on all pairs
+    of one size at a time; any other callable runs once per dataset.  The
+    argmax is the first trial with the largest L1 difference.
+    """
     if model not in MODELS:
         raise DomainError(f"model must be one of {MODELS}, got {model!r}")
     if trials < 1:
@@ -120,68 +161,138 @@ def empirical_sensitivity(
     for s in sizes:
         if s < 0 or (model == "swap" and s < 1):
             raise DomainError(f"invalid size {s} for model {model!r}")
-    best = worst = None
-    best_pair = None
-    by_size: dict[int, float] = {s: 0.0 for s in sizes}
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        pair = random_neighbor_pair(n, d, model, derive_seed(seed, t, 0))
-        diff = np.asarray(map_fn(pair.extended), dtype=np.float64) - np.asarray(
-            map_fn(pair.base), dtype=np.float64
-        )
-        l1 = float(np.sum(np.abs(diff)))
-        if best is None or l1 > best:
-            best, best_pair = l1, pair
-        if worst is None or l1 < worst:
-            worst = l1
-        if l1 > by_size[n]:
-            by_size[n] = l1
+    ns = np.resize(np.array(sizes), trials)  # base size of each trial
+    l1 = np.empty(trials)
+    block = getattr(map_fn, "block", None)
+    if block is None:
+        for t in range(trials):
+            pair = random_neighbor_pair(int(ns[t]), d, model, derive_seed(seed, t, 0))
+            diff = np.asarray(map_fn(pair.extended), dtype=np.float64) - np.asarray(
+                map_fn(pair.base), dtype=np.float64
+            )
+            l1[t] = np.sum(np.abs(diff))
+    else:
+        for n in dict.fromkeys(sizes):
+            ts = np.flatnonzero(ns == n)
+            step = max(1, _BLOCK_RECORDS // (2 * n + 1))
+            for lo in range(0, ts.size, step):
+                t = ts[lo : lo + step]
+                base, ext = neighbor_pair_block(n, d, model, derive_seeds(seed, t, 0))
+                l1[t] = np.sum(np.abs(block(ext) - block(base)), axis=-1)
+    top = int(np.argmax(l1))
     return SensitivityReport(
         map_name=map_name,
         model=model,
         trials=trials,
-        max_l1=best,
-        min_l1=worst,
-        argmax=best_pair,
-        by_size=by_size,
+        max_l1=float(l1[top]),
+        min_l1=float(l1.min()),
+        argmax=random_neighbor_pair(int(ns[top]), d, model, derive_seed(seed, top, 0)),
+        by_size={s: float(np.max(l1[ns == s], initial=0.0)) for s in sizes},
     )
 
 
 # -- ready-made maps --------------------------------------------------------
+#
+# Each map's `block` attribute is its form on (pairs, n, d) record blocks,
+# returning (pairs, m); the map itself is the one-row case.  The variance and
+# covariance forms repeat the float operations of `stats`: sums along the
+# records of one dataset, the shared ratio kernels, then the clamp.  Neither
+# ratio can be -0.0, so `np.clip` clamps as `stats.clip` does, and the forms
+# reproduce `variance_exact`/`covariance_exact` bit for bit.
+
+
+def _require_dim(values: np.ndarray, d: int, what: str) -> None:
+    if values.shape[-1] != d:
+        raise DomainError(f"{what} needs d={d} data, got d={values.shape[-1]}")
+
+
+def _variance_block(values: np.ndarray) -> np.ndarray:
+    """[`variance_exact`] of each dataset in a (pairs, n, 1) block."""
+    _require_dim(values, 1, "variance")
+    n = values.shape[-2]
+    if n < 1:
+        raise UndefinedStatisticError("variance is undefined for an empty dataset")
+    x = values[..., 0]
+    v = ratio_variance(float(n), x.sum(axis=-1), (x * x).sum(axis=-1))
+    return np.clip(v, *VARIANCE_RANGE)[..., None]
+
+
+def _covariance_block(values: np.ndarray) -> np.ndarray:
+    """[`covariance_exact`] of each dataset in a (pairs, n, 2) block."""
+    _require_dim(values, 2, "covariance")
+    n = values.shape[-2]
+    if n < 1:
+        raise UndefinedStatisticError("covariance is undefined for an empty dataset")
+    x, y = np.moveaxis(values, -1, 0).copy()  # each column contiguous
+    c = ratio_covariance(float(n), x.sum(axis=-1), y.sum(axis=-1), (x * y).sum(axis=-1))
+    return np.clip(c, *COVARIANCE_RANGE)[..., None]
+
+
+def _unnormalized(values: np.ndarray, block, d: int, what: str) -> np.ndarray:
+    """n times `block(values)`, and 0 for empty datasets, as in `stats`."""
+    _require_dim(values, d, what)
+    n = values.shape[-2]
+    if n == 0:
+        return np.zeros(values.shape[:-2] + (1,))
+    return n * block(values)
+
+
+def _uvar_block(values: np.ndarray) -> np.ndarray:
+    return _unnormalized(values, _variance_block, 1, "unnormalized variance")
+
+
+def _ucov_block(values: np.ndarray) -> np.ndarray:
+    return _unnormalized(values, _covariance_block, 2, "unnormalized covariance")
+
+
+def _transformed_block(values: np.ndarray) -> np.ndarray:
+    u = _uvar_block(values)
+    return np.concatenate([values.shape[-2] - u, u], axis=-1)
+
 
 def bernstein_map(k: int, d: int = 1) -> Callable[[Dataset], np.ndarray]:
     """Dataset -> flat Bernstein aggregate (claimed L1 sensitivity exactly 1)."""
 
-    def f(data: Dataset) -> np.ndarray:
-        return bernstein_aggregate(data.values, k)
+    def block(values: np.ndarray) -> np.ndarray:
+        return bernstein_aggregate(values, k)
 
+    def f(data: Dataset) -> np.ndarray:
+        return block(data.values)
+
+    f.block = block
     return f
 
 
 def unnormalized_variance_map(data: Dataset) -> np.ndarray:
     """Dataset -> [n * variance] (claimed add-remove sensitivity 1)."""
-    return np.array([unnormalized_variance(data)])
+    return _uvar_block(data.values[None])[0]
 
 
 def unnormalized_covariance_map(data: Dataset) -> np.ndarray:
     """Dataset -> [n * covariance] (claimed add-remove sensitivity 1)."""
-    return np.array([unnormalized_covariance(data)])
+    return _ucov_block(data.values[None])[0]
 
 
 def transformed_pair_map(data: Dataset) -> np.ndarray:
     """Dataset -> [n - u, u] with u = n * variance (claimed sensitivity 1)."""
-    u = unnormalized_variance(data)
-    return np.array([data.n - u, u])
+    return _transformed_block(data.values[None])[0]
 
 
 def swap_variance_map(data: Dataset) -> np.ndarray:
     """Dataset -> [variance]; swap-model sensitivity is claimed <= 1/n."""
-    return np.array([variance_exact(data)])
+    return _variance_block(data.values[None])[0]
 
 
 def swap_covariance_map(data: Dataset) -> np.ndarray:
     """Dataset -> [covariance]; swap-model sensitivity is claimed <= 1/n."""
-    return np.array([covariance_exact(data)])
+    return _covariance_block(data.values[None])[0]
+
+
+unnormalized_variance_map.block = _uvar_block
+unnormalized_covariance_map.block = _ucov_block
+transformed_pair_map.block = _transformed_block
+swap_variance_map.block = _variance_block
+swap_covariance_map.block = _covariance_block
 
 
 def builtin_maps() -> dict[str, dict]:

@@ -77,12 +77,15 @@ def bernstein_eval(k: int, j: int, x: float) -> float:
 
 
 def basis_matrix(k: int, xs: np.ndarray) -> np.ndarray:
-    """Rows = records, columns = B_0..B_k evaluated at each record."""
+    """Rows = records, columns = B_0..B_k evaluated at each record.
+
+    `xs` may carry leading axes: shape (..., n) gives (..., n, k+1).
+    """
     k = _check_degree(k)
     xs = np.asarray(xs, dtype=np.float64)
     js = np.arange(k + 1)
     coef = np.array([float(binomial(k, j)) for j in js])
-    return coef * xs[:, None] ** js * (1.0 - xs[:, None]) ** (k - js)
+    return coef * xs[..., None] ** js * (1.0 - xs[..., None]) ** (k - js)
 
 
 def bezier_matrix(k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -171,24 +174,31 @@ def multivariate_bernstein_eval(k: int, alpha: tuple[int, ...], z) -> float:
 def bernstein_aggregate(values: np.ndarray, k: int) -> np.ndarray:
     """Sum of tensor-product basis vectors over all records.
 
-    `values` has shape (n, d) with entries in [0, 1].  Returns the flat
-    aggregate of length (k+1)**d in `multi_indices` order.  Summation is
-    chunked so memory stays bounded for large n.
+    `values` has shape (..., n, d) with entries in [0, 1]: one (n, d)
+    dataset, or a block of equally sized datasets along leading axes.
+    Returns the flat aggregate of length (k+1)**d in `multi_indices` order,
+    one per dataset.  Each dataset's records are added one after another,
+    so a dataset's aggregate does not depend on the block it comes in.
+    Summation is chunked so memory stays bounded for large n.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise DomainError(f"expected a 2-d record array, got shape {values.shape}")
-    n, d = values.shape
+    if values.ndim < 2:
+        raise DomainError(
+            f"expected an (..., n, d) record array, got shape {values.shape}"
+        )
+    *lead, n, d = values.shape
     k, d = _check_dims(k, d)
-    total = np.zeros((k + 1) ** d, dtype=np.float64)
+    total = np.zeros((*lead, (k + 1) ** d), dtype=np.float64)
     chunk_sums = []
     for start in range(0, n, _AGG_CHUNK):
-        block = values[start : start + _AGG_CHUNK]
-        acc = basis_matrix(k, block[:, 0])
+        block = values[..., start : start + _AGG_CHUNK, :]
+        acc = basis_matrix(k, block[..., 0])
         for col in range(1, d):
-            nxt = basis_matrix(k, block[:, col])
-            acc = (acc[:, :, None] * nxt[:, None, :]).reshape(block.shape[0], -1)
-        chunk_sums.append(acc.sum(axis=0))
+            nxt = basis_matrix(k, block[..., col])
+            acc = (acc[..., :, None] * nxt[..., None, :]).reshape(
+                (*block.shape[:-1], (k + 1) ** (col + 1))
+            )
+        chunk_sums.append(acc.sum(axis=-2))
     if chunk_sums:
         total = np.sum(np.stack(chunk_sums), axis=0)
     return total

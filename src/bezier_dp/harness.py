@@ -80,12 +80,19 @@ def _resolve_for_data(name: str, d: int) -> str:
 
     Ids and plain aliases name one id whatever d is, so `prepare` can report
     a dimension mismatch.  A family alias takes its first form, in registry
-    order, for d-column data: variance for one column, covariance for two.
-    Unknown names pass through for `prepare` to reject.
+    order, for d-column data: variance for one column, covariance for two;
+    with no form for d columns it raises ConfigError.  Unknown names pass
+    through for `prepare` to reject.
     """
     for spec in REGISTRY.values():
         if name == spec.id or name in spec.aliases:
             return spec.id
+    widths = sorted({spec.d for spec in REGISTRY.values() if name == spec.family})
+    if widths and d not in widths:
+        raise ConfigError(
+            f"alias {name!r} has no form for {d}-column data; its forms take "
+            f"{' or '.join(map(str, widths))} columns"
+        )
     for spec in REGISTRY.values():
         if name == spec.family and spec.d == d:
             return spec.id

@@ -9,9 +9,10 @@ what makes experiment results independent of batching and thread count.
 Substreams for (trial, channel) pairs are derived by avalanche-mixing the
 indices into the base seed, giving statistically independent streams without
 any shared mutable state.  Because both the seed derivation and the draws are
-pure functions of their counters, `derive_seeds` and `laplace_rows` compute a
-whole block of trials' substreams as one array and still reproduce every
-per-trial draw bit for bit; `NoiseRows` hands such a block to a mechanism.
+pure functions of their counters, `derive_seeds`, `laplace_rows` and
+`uniforms01_rows` compute a whole block of trials' substreams as one array
+and still reproduce every per-trial draw bit for bit; `NoiseRows` hands such
+a block to a mechanism.
 
 Uniform deviates are built from the top 53 bits as (bits + 0.5) * 2**-53 - 0.5,
 which lies strictly inside (-1/2, 1/2); Laplace deviates use the inverse-CDF
@@ -103,6 +104,17 @@ def derive_seeds(base_seed: int, trial_indices, channel: int) -> np.ndarray:
         return _mix64_vector(h ^ ch)
 
 
+def _uniform_rows(seeds, count: int) -> np.ndarray:
+    """Uniforms in (-1/2, 1/2) from many seeded streams, one row per seed."""
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        bits = _mix64_vector(seeds + idx * _U64_GAMMA)
+    return _uniforms_from_bits(bits)
+
+
 def laplace_rows(seeds, count: int) -> np.ndarray:
     """Unit-scale Laplace draws from many seeded streams, one row per seed.
 
@@ -110,13 +122,15 @@ def laplace_rows(seeds, count: int) -> np.ndarray:
     and row i times b equals the same stream's `laplace_vector(b, count)`,
     bit for bit.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        bits = _mix64_vector(seeds + idx * _U64_GAMMA)
-    return _laplace_from_uniforms(_uniforms_from_bits(bits), 1.0)
+    return _laplace_from_uniforms(_uniform_rows(seeds, count), 1.0)
+
+
+def uniforms01_rows(seeds, count: int) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) from many seeded streams, one row per seed.
+
+    Row i equals `NoiseSource.seeded(seeds[i]).uniforms01(count)` bit for bit.
+    """
+    return _uniform_rows(seeds, count) + 0.5
 
 
 class NoiseSource:

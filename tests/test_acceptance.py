@@ -12,7 +12,9 @@ roughly four standard errors from its tolerance boundary.  The Monte Carlo
 criteria draw all of a cell's noise from its seeded stream in one call and
 run the mechanism's array kernel over the (trials, cells) matrix; that is the
 same draw sequence a per-trial release loop consumes.  The neighbor-pair
-certificate A4, at 100k pairs per map, takes most of the module's run time.
+certificate A4 generates its 100k pairs per map as blocks of equally sized
+datasets and evaluates each map's block form on them; every pair and every
+value is the one a per-pair loop over `random_neighbor_pair` would give.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from bezier_dp.bernstein import (
     bezier_matrix,
     matrix_multiply,
 )
-from bezier_dp.noise import NoiseSource, derive_seed
+from bezier_dp.noise import NoiseSource, derive_seed, derive_seeds
 
 _SENS_TOL = 1e-9
 
@@ -185,6 +187,22 @@ def test_a3_top_moment_mse_is_two_over_eps_squared():
 # ---------------------------------------------------------------------------
 
 
+def _pair_blocks(seed: int, sizes, d: int, model: str, pairs: int, step: int = 1024):
+    """(n, base, extended) blocks of pairs 0..pairs-1; pair t has base size
+    sizes[t % len(sizes)] and stream seed derive_seed(seed, t, 0)."""
+    ns = np.resize(np.array(sizes), pairs)
+    for n in sizes:
+        ts = np.flatnonzero(ns == n)
+        for lo in range(0, ts.size, step):
+            seeds = derive_seeds(seed, ts[lo : lo + step], 0)
+            yield (n, *bd.neighbor_pair_block(n, d, model, seeds))
+
+
+def _block_diff(fn, base, ext):
+    """Per-pair fn(extended) - fn(base) through the map's block form."""
+    return fn.block(ext) - fn.block(base)
+
+
 def test_a4_sensitivity_certificates_hold_empirically():
     pairs_per_map = 100_000
     sizes_ar = (0, 1, 2, 5, 20, 100)
@@ -195,48 +213,34 @@ def test_a4_sensitivity_certificates_hold_empirically():
     worst_b2 = worst_b3 = 0.0
     uvar_lo, uvar_hi = math.inf, -math.inf
     worst_pair_l1 = 0.0
-    for t in range(pairs_per_map):
-        pair = bd.random_neighbor_pair(
-            sizes_ar[t % len(sizes_ar)], 1, "add-remove", derive_seed(2401, t, 0)
-        )
-        base, ext = pair.base, pair.extended
-        worst_b2 = max(worst_b2, abs(float(np.abs(bern2(ext) - bern2(base)).sum()) - 1.0))
-        worst_b3 = max(worst_b3, abs(float(np.abs(bern3(ext) - bern3(base)).sum()) - 1.0))
-        du = float(
-            bd.unnormalized_variance_map(ext)[0] - bd.unnormalized_variance_map(base)[0]
-        )
-        uvar_lo, uvar_hi = min(uvar_lo, du), max(uvar_hi, du)
-        dt = bd.transformed_pair_map(ext) - bd.transformed_pair_map(base)
-        worst_pair_l1 = max(worst_pair_l1, float(np.abs(dt).sum()))
+    for _n, base, ext in _pair_blocks(2401, sizes_ar, 1, "add-remove", pairs_per_map):
+        l1 = np.abs(_block_diff(bern2, base, ext)).sum(axis=-1)
+        worst_b2 = max(worst_b2, float(np.abs(l1 - 1.0).max()))
+        l1 = np.abs(_block_diff(bern3, base, ext)).sum(axis=-1)
+        worst_b3 = max(worst_b3, float(np.abs(l1 - 1.0).max()))
+        du = _block_diff(bd.unnormalized_variance_map, base, ext)[:, 0]
+        uvar_lo, uvar_hi = min(uvar_lo, float(du.min())), max(uvar_hi, float(du.max()))
+        dt = _block_diff(bd.transformed_pair_map, base, ext)
+        worst_pair_l1 = max(worst_pair_l1, float(np.abs(dt).sum(axis=-1).max()))
 
     # two-column add-remove maps
     bern22 = bd.bernstein_map(2, 2)
     worst_b22 = 0.0
     ucov_lo, ucov_hi = math.inf, -math.inf
-    for t in range(pairs_per_map):
-        pair = bd.random_neighbor_pair(
-            sizes_ar[t % len(sizes_ar)], 2, "add-remove", derive_seed(2402, t, 0)
-        )
-        base, ext = pair.base, pair.extended
-        worst_b22 = max(
-            worst_b22, abs(float(np.abs(bern22(ext) - bern22(base)).sum()) - 1.0)
-        )
-        dc = float(
-            bd.unnormalized_covariance_map(ext)[0]
-            - bd.unnormalized_covariance_map(base)[0]
-        )
-        ucov_lo, ucov_hi = min(ucov_lo, dc), max(ucov_hi, dc)
+    for _n, base, ext in _pair_blocks(2402, sizes_ar, 2, "add-remove", pairs_per_map):
+        l1 = np.abs(_block_diff(bern22, base, ext)).sum(axis=-1)
+        worst_b22 = max(worst_b22, float(np.abs(l1 - 1.0).max()))
+        dc = _block_diff(bd.unnormalized_covariance_map, base, ext)[:, 0]
+        ucov_lo, ucov_hi = min(ucov_lo, float(dc.min())), max(ucov_hi, float(dc.max()))
 
     # swap-model value maps: sensitivity shrinks like 1/n
     worst_swap_var = worst_swap_cov = -math.inf
-    for t in range(pairs_per_map):
-        n = sizes_swap[t % len(sizes_swap)]
-        pv = bd.random_neighbor_pair(n, 1, "swap", derive_seed(2403, t, 0))
-        dv = abs(float(bd.swap_variance_map(pv.extended)[0] - bd.swap_variance_map(pv.base)[0]))
-        worst_swap_var = max(worst_swap_var, dv - 1.0 / n)
-        pc = bd.random_neighbor_pair(n, 2, "swap", derive_seed(2404, t, 0))
-        dc = abs(float(bd.swap_covariance_map(pc.extended)[0] - bd.swap_covariance_map(pc.base)[0]))
-        worst_swap_cov = max(worst_swap_cov, dc - 1.0 / n)
+    for n, base, ext in _pair_blocks(2403, sizes_swap, 1, "swap", pairs_per_map):
+        dv = np.abs(_block_diff(bd.swap_variance_map, base, ext)[:, 0])
+        worst_swap_var = max(worst_swap_var, float((dv - 1.0 / n).max()))
+    for n, base, ext in _pair_blocks(2404, sizes_swap, 2, "swap", pairs_per_map):
+        dc = np.abs(_block_diff(bd.swap_covariance_map, base, ext)[:, 0])
+        worst_swap_cov = max(worst_swap_cov, float((dc - 1.0 / n).max()))
 
     ok = (
         worst_b2 <= _SENS_TOL

@@ -1,5 +1,7 @@
 """Sensitivity audit: pair generation, report plumbing, bound checks."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,115 @@ from bezier_dp import (
     Dataset,
     DomainError,
     NeighborPair,
+    NoiseSource,
     SensitivityReport,
+    UndefinedStatisticError,
+    bernstein_aggregate,
     bernstein_map,
     builtin_maps,
+    covariance_exact,
+    derive_seed,
     empirical_sensitivity,
+    neighbor_pair_block,
     random_neighbor_pair,
+    swap_covariance_map,
     swap_variance_map,
     transformed_pair_map,
+    unnormalized_covariance,
     unnormalized_covariance_map,
+    unnormalized_variance,
     unnormalized_variance_map,
+    variance_exact,
 )
+
+SEEDS = (0, 7, 2**63 + 5)
+SIZES = {"add-remove": [0, 1, 2, 5, 20, 100], "swap": [1, 2, 5, 20, 100]}
+
+
+# -- per-pair references ------------------------------------------------------
+
+
+def _reference_records(src, count, d):
+    """`count` mixture records drawn from `src` one stream call at a time."""
+    if count == 0:
+        return np.empty((0, d))
+    cat = src.uniforms01(count * d)
+    val = src.uniforms01(count * d)
+    side = src.uniforms01(count * d)
+    out = np.where(
+        cat < 0.4,
+        val,
+        np.where(cat < 0.7, np.round(val), np.where(side < 0.5, val**8, 1.0 - val**8)),
+    )
+    return out.reshape(count, d)
+
+
+def _reference_pair(n, d, model, seed):
+    """(base, extended) records of one pair, drawn from a NoiseSource."""
+    src = NoiseSource.seeded(seed)
+    base = _reference_records(src, n, d)
+    fresh = _reference_records(src, 1, d)
+    if model == "add-remove":
+        return base, np.concatenate([base, fresh], axis=0)
+    pos = min(n - 1, int(src.uniforms01(1)[0] * n))
+    ext = base.copy()
+    ext[pos] = fresh[0]
+    return base, ext
+
+
+def _bernstein_ref(k):
+    return lambda ds: bernstein_aggregate(ds.values, k)
+
+
+def _transformed_ref(ds):
+    u = unnormalized_variance(ds)
+    return np.array([ds.n - u, u])
+
+
+# map name -> (map under test, model, d, reference on one Dataset)
+REFERENCE_MAPS = {
+    "bernstein_k2d1": (bernstein_map(2, 1), "add-remove", 1, _bernstein_ref(2)),
+    "bernstein_k3d1": (bernstein_map(3, 1), "add-remove", 1, _bernstein_ref(3)),
+    "bernstein_k2d2": (bernstein_map(2, 2), "add-remove", 2, _bernstein_ref(2)),
+    "uvar": (
+        unnormalized_variance_map, "add-remove", 1,
+        lambda ds: np.array([unnormalized_variance(ds)]),
+    ),
+    "ucov": (
+        unnormalized_covariance_map, "add-remove", 2,
+        lambda ds: np.array([unnormalized_covariance(ds)]),
+    ),
+    "transformed": (transformed_pair_map, "add-remove", 1, _transformed_ref),
+    "swap_variance": (swap_variance_map, "swap", 1, lambda ds: np.array([variance_exact(ds)])),
+    "swap_covariance": (
+        swap_covariance_map, "swap", 2, lambda ds: np.array([covariance_exact(ds)])
+    ),
+}
+
+
+def _reference_report(ref, model, trials, sizes, seed, d):
+    """(max, min, by_size, argmax pair) from the per-pair loop, strict `>`."""
+    best = worst = best_pair = None
+    by_size = {s: 0.0 for s in sizes}
+    for t in range(trials):
+        n = sizes[t % len(sizes)]
+        base, ext = _reference_pair(n, d, model, derive_seed(seed, t, 0))
+        diff = np.asarray(ref(Dataset(ext, d=d)), dtype=np.float64) - np.asarray(
+            ref(Dataset(base, d=d)), dtype=np.float64
+        )
+        l1 = float(np.sum(np.abs(diff)))
+        if best is None or l1 > best:
+            best, best_pair = l1, (base, ext)
+        if worst is None or l1 < worst:
+            worst = l1
+        if l1 > by_size[n]:
+            by_size[n] = l1
+    return best, worst, by_size, best_pair
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_neighbor_pair_validation():
@@ -59,6 +160,77 @@ def test_random_neighbor_pair_properties():
         random_neighbor_pair(-1, 1, "add-remove", rng_seed=1)
     with pytest.raises(DomainError):
         random_neighbor_pair(2, 0, "add-remove", rng_seed=1)
+
+
+def test_neighbor_pair_block_rows_match_per_stream_pairs():
+    for model, sizes in SIZES.items():
+        for n in sizes:
+            for d in (1, 2):
+                base, ext = neighbor_pair_block(n, d, model, list(SEEDS))
+                assert base.shape == (len(SEEDS), n, d)
+                assert ext.shape == (len(SEEDS), n + (model == "add-remove"), d)
+                for i, seed in enumerate(SEEDS):
+                    ref_base, ref_ext = _reference_pair(n, d, model, seed)
+                    assert _same_bits(base[i], ref_base) and _same_bits(ext[i], ref_ext)
+                    # the one-pair case is the same generator
+                    pair = random_neighbor_pair(n, d, model, seed)
+                    assert _same_bits(pair.base.values, ref_base)
+                    assert _same_bits(pair.extended.values, ref_ext)
+    empty = neighbor_pair_block(3, 2, "swap", [])
+    assert empty[0].shape == empty[1].shape == (0, 3, 2)
+    with pytest.raises(DomainError):
+        neighbor_pair_block(0, 1, "swap", [1])
+    with pytest.raises(DomainError):
+        neighbor_pair_block(2, 1, "replace-one", [1])
+
+
+def test_map_block_forms_match_stats_references():
+    for name, (fn, model, d, ref) in REFERENCE_MAPS.items():
+        for n in SIZES[model]:
+            base, ext = neighbor_pair_block(n, d, model, list(SEEDS) + [11, 12])
+            for block in (base, ext):
+                got = fn.block(block)
+                assert got.shape[0] == block.shape[0], name
+                for i, records in enumerate(block):
+                    expected = ref(Dataset(records, d=d))
+                    assert _same_bits(got[i], expected), (name, n, i)
+                    assert _same_bits(fn(Dataset(records, d=d)), expected), (name, n, i)
+    # the block forms keep the per-dataset errors
+    with pytest.raises(DomainError, match="needs d=1 data, got d=2"):
+        unnormalized_variance_map.block(np.zeros((3, 4, 2)))
+    with pytest.raises(UndefinedStatisticError):
+        swap_variance_map.block(np.zeros((3, 0, 1)))
+
+
+def _custom_map(data):
+    """(sum x, sum x^2): no block form, so audited one pair at a time."""
+    x = data.column(0)
+    return np.array([x.sum(), (x * x).sum()])
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_MAPS, "custom", "wrapped"])
+def test_empirical_sensitivity_matches_per_pair_loop(name):
+    if name == "custom":
+        fn, model, d, ref = _custom_map, "add-remove", 1, _custom_map
+    elif name == "wrapped":
+        # what a tracing wrapper passes: functools.wraps copies `block`
+        inner, model, d, ref = REFERENCE_MAPS["uvar"]
+        fn = functools.wraps(inner)(lambda data: inner(data))
+        assert fn.block is inner.block
+    else:
+        fn, model, d, ref = REFERENCE_MAPS[name]
+    base_sizes = SIZES[model]
+    cases = [(trials, base_sizes, 7) for trials in (5, 37, 600)]
+    cases += [(37, base_sizes[::-1], 2**63 + 5), (37, base_sizes + base_sizes[:2], 0)]
+    for trials, sizes, seed in cases:
+        rep = empirical_sensitivity(fn, model, trials, sizes, seed=seed, d=d)
+        best, worst, by_size, (arg_base, arg_ext) = _reference_report(
+            ref, model, trials, sizes, seed, d
+        )
+        assert rep.max_l1 == best and rep.min_l1 == worst
+        assert list(rep.by_size.items()) == list(by_size.items())
+        assert _same_bits(rep.argmax.base.values, arg_base)
+        assert _same_bits(rep.argmax.extended.values, arg_ext)
 
 
 def test_mixture_hits_corners_and_interior():

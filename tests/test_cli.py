@@ -115,12 +115,23 @@ def test_estimate_alias_resolution(data_csv, pair_csv, capsys):
         ("transformed", "pair", "transformed_variance needs d=1 data, got d=2"),
         ("composed", "single", "correlation_composed needs d=2 data, got d=1"),
         ("moment:2:1", "pair", "moment_release needs d=1 data, got d=2"),
+        ("bezier_variance", "triple", "bezier_variance needs d=1 data, got d=3"),
+        (
+            "bezier",
+            "triple",
+            "alias 'bezier' has no form for 3-column data; its forms take 1 or 2 columns",
+        ),
     ],
 )
-def test_estimate_alias_on_wrong_column_count(mechanism, csv, message, data_csv, pair_csv, capsys):
+def test_estimate_alias_on_wrong_column_count(
+    mechanism, csv, message, data_csv, pair_csv, tmp_path, capsys
+):
     # an id or plain alias resolves whatever the column count; prepare then
-    # names the dimension mismatch instead of calling the alias unknown
-    path = pair_csv if csv == "pair" else data_csv
+    # names the dimension mismatch instead of calling the alias unknown, and
+    # a family alias with no form for the column count says so
+    triple = tmp_path / "xyz.csv"
+    triple.write_text("0.1,0.3,0.5\n0.5,0.9,0.2\n")
+    path = {"pair": pair_csv, "single": data_csv, "triple": str(triple)}[csv]
     rc = main(["estimate", "--data", path, "--mechanism", mechanism, "--epsilon", "1"])
     assert rc == EXIT_CONFIG
     assert message in capsys.readouterr().err

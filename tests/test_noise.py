@@ -13,6 +13,7 @@ from bezier_dp import (
     derive_seeds,
     derive_substream,
     laplace_rows,
+    uniforms01_rows,
 )
 
 # Published SplitMix64 output sequence for seed 1234567.
@@ -181,6 +182,17 @@ def test_laplace_rows_match_per_stream_draws():
     for i, seed in enumerate(seeds[:5]):
         src = NoiseSource.seeded(int(seed))
         assert short[i].tolist() == [src.laplace(1.0), src.laplace(1.0)]
+
+
+def test_uniforms01_rows_match_per_stream_draws():
+    seeds = derive_seeds(5, np.arange(30), 0)
+    for count in (0, 2, 9, 40):  # below and above the scalar cutoff
+        rows = uniforms01_rows(seeds, count)
+        assert rows.shape == (30, count)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(rows[i], NoiseSource.seeded(int(seed)).uniforms01(count))
+    with pytest.raises(DomainError):
+        uniforms01_rows(seeds, -1)
 
 
 def test_noise_rows_playback():
