@@ -12,7 +12,8 @@ mean of two variances -- which makes it a budget-allocation problem:
                           is post-processing of one release
 
 The joint release wins because it never splits the budget and never pays
-more than sensitivity 1.  The demo measures all three on correlated data.
+more than sensitivity 1.  The demo measures all three on correlated data
+and prints each one's first-order (delta-method) MSE prediction beside it.
 """
 
 import bezier_dp as bd
@@ -36,7 +37,7 @@ def main():
     print(f"{trials} trials per pipeline at eps={eps}")
     print()
 
-    print(f"{'pipeline':<24}{'MSE':>12}   budget layout")
+    print(f"{'pipeline':<24}{'MSE':>12}{'predicted':>12}   budget layout")
     layout = {
         "correlation_naive": "6 sums at eps/6 each (scale 6/eps)",
         "correlation_composed": "cov @ eps/3 + two variances @ eps/3",
@@ -51,7 +52,8 @@ def main():
             err = prep.run_value(eps, src) - exact
             total += err * err
         results[mid] = total / trials
-        print(f"{mid:<24}{results[mid]:>12.6f}   {layout[mid]}")
+        pred = bd.predicted_normalized_mse(prep, data, eps) / n**2
+        print(f"{mid:<24}{results[mid]:>12.6f}{pred:>12.6f}   {layout[mid]}")
     print()
     best = min(results, key=results.get)
     print(f"lowest MSE: {best}")

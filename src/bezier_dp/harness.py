@@ -538,16 +538,15 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
             diff = p.run_value(e, NoiseRows(unit)) - p.exact_value
             errors[(m, e)][t0:t1] = diff * diff
 
+    # bound to data0 once: the fixed-data releases and every prediction use it
+    prepared = [prepare(m, data0, **kw) for m in mechs]
     if want_fixed:
-        prepared = []
-        for m in mechs:
-            p = prepare(m, data0, **kw)
+        for m, p in zip(mechs, prepared):
             if p.exact_value is None:
                 raise ConfigError(
                     f"{cfg.statistic} is undefined on the benchmark dataset; "
                     f"cannot score {m}"
                 )
-            prepared.append(p)
 
         def work(block):
             for ch, (m, p) in enumerate(zip(mechs, prepared)):
@@ -557,9 +556,10 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
 
         def work(block):
             for t in range(*block):
-                data_t = generate_dataset(cfg, derive_seed(cfg.base_seed, t, DATA_CHANNEL))
+                if t > 0:
+                    data_t = generate_dataset(cfg, derive_seed(cfg.base_seed, t, DATA_CHANNEL))
                 for ch, m in enumerate(mechs):
-                    p = prepare(m, data_t, **kw)
+                    p = prepared[ch] if t == 0 else prepare(m, data_t, **kw)
                     if p.exact_value is None:
                         raise ConfigError(
                             f"{cfg.statistic} undefined on the trial-{t} dataset"
@@ -576,7 +576,7 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
 
     n_report = data0.n
     rows = []
-    for m in mechs:
+    for m, p in zip(mechs, prepared):
         for e in epss:
             errs = errors[(m, e)]
             mse = float(np.mean(errs))
@@ -584,9 +584,7 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
                 std_error = float(np.std(errs, ddof=1) / math.sqrt(trials))
             else:
                 std_error = 0.0
-            pred = predicted_normalized_mse(
-                m, data0, e, moment_k=cfg.moment_k, moment_j=cfg.moment_j
-            )
+            pred = predicted_normalized_mse(p, data0, e)
             rows.append(
                 BenchmarkRow(
                     mechanism=m,

@@ -16,8 +16,8 @@ fixed, public record count.  Budgets:
                            post-processing one degree-3 or degree-4 release.
 
 Each mechanism id is one `Spec` record in `REGISTRY`; `prepare`, the
-Monte Carlo engine, the predictions in `theory` and alias resolution in the
-harness all read it there.  A record holds:
+Monte Carlo engine, the error prediction in `theory` and alias resolution in
+the harness all read it there.  A record holds:
 
   * its statistic, data dimension d, plain aliases and a family name
     (``bezier``, ``naive``, ...) that resolves per statistic;
@@ -29,8 +29,8 @@ harness all read it there.  A record holds:
   * ``post(s, x)``, the released statistic, clipped to ``clip``: x is the
     noisy sums s + L z, or L z alone for a ``shift`` record (swap, improved
     and transformed release their exact value plus a noise term);
-  * the exact statistic, the normalized-MSE prediction, and ``keys``, the
-    audit-trail names of entries of s + L z.
+  * the exact statistic and ``keys``, the audit-trail names of entries of
+    s + L z.
 
 A composed record (``parts``) instead releases several records side by side
 on one draw vector, and ``post`` combines their values.
@@ -43,7 +43,8 @@ call BLAS, so a trial's value does not depend on how many trials share the
 call.  With zero noise every variance and covariance mechanism reproduces
 the exact statistic bit for bit: s holds the float sums the exact
 statistic is computed from, L maps zero noise to zeros, and ``post`` runs
-the same ratio kernels.
+the same ratio kernels.  `gradient_norm2` differentiates the unclipped
+value at zero noise, which is all a first-order error prediction needs.
 """
 
 from __future__ import annotations
@@ -75,16 +76,6 @@ from .stats import (
     ratio_variance,
     standardized_moment,
     variance_exact,
-)
-from .theory import (
-    basis_variance_mse,
-    bezier_covariance_mse,
-    improved_covariance_mse,
-    improved_variance_mse,
-    moment_release_mse,
-    naive_covariance_mse,
-    naive_variance_mse,
-    swap_mse,
 )
 
 # Noisy counts closer to zero than this are treated as degenerate: the
@@ -127,7 +118,6 @@ class Spec:
     # unclipped value, and a composed record's indices pick part values
     keys: tuple = ()
     parts: tuple = ()  # (record, data column or None for all columns)
-    predict: Callable | None = None  # (data, eps) -> normalized MSE
     aliases: tuple[str, ...] = ()
     family: str | None = None
     params: Callable | None = None  # (record, moment_k, moment_j) -> record
@@ -149,13 +139,13 @@ class PreparedMechanism:
     one value per row.
     """
 
-    __slots__ = ("spec", "exact_value", "cells", "_data", "_sums", "_parts")
+    __slots__ = ("spec", "exact_value", "cells", "data", "_sums", "_parts", "_on_edge", "_grad2")
 
     def __init__(self, spec: Spec, data: Dataset):
         if data.d != spec.d:
             raise DomainError(f"{spec.id} needs d={spec.d} data, got d={data.d}")
         self.spec = spec
-        self._data = data
+        self.data = data
         self.exact_value = None if spec.exact is None else _try_exact(spec.exact, data)
         self.cells = spec.cells
         self._sums = None if spec.sums is None else spec.sums(data, self.exact_value)
@@ -163,6 +153,12 @@ class PreparedMechanism:
             PreparedMechanism(p, data if col is None else data.univariate(col))
             for p, col in spec.parts
         ]
+        # the exact value (or a part's) sits on a clip bound
+        clip = spec.clip
+        self._on_edge = any(p._on_edge for p in self._parts) or (
+            clip is not None and self.exact_value in (clip.lo, clip.hi)
+        )
+        self._grad2 = None
 
     @property
     def mechanism_id(self) -> str:
@@ -174,7 +170,7 @@ class PreparedMechanism:
 
     def scale(self, eps: float) -> float:
         """Laplace scale b of every cell at budget eps."""
-        return self.spec.c / (_check_eps(eps) / self.spec.split)
+        return self.spec.c / (check_epsilon(eps) / self.spec.split)
 
     def kernel(self, noise):
         """Released values for noise rows of shape (..., cells)."""
@@ -214,11 +210,31 @@ class PreparedMechanism:
         spec, s = self.spec, self._sums
         trail = {}
         if spec.basis is not None:
-            b = spec.basis_cells(self._data, s) + z
+            b = spec.basis_cells(self.data, s) + z
             trail.update(zip((_agg_key("b", a) for a in multi_indices(*spec.basis)), b))
         for name, i in spec.keys:
             trail[name] = raw if i is None else s[i] + x[i] if spec.shift else x[i]
         return trail
+
+    def gradient_norm2(self) -> float | None:
+        """|d value / d z|^2 at zero noise, computed on first use and kept;
+        None where the exact value (or a part's) sits on a clip bound, where
+        the clipped release has no derivative.
+
+        The unclipped value is differentiated by Richardson-extrapolated
+        central differences, steps +-h and +-h/2 per cell with h = 1e-3 n,
+        all 4 * cells rows in one block.
+        """
+        if self._on_edge:
+            return None
+        if self._grad2 is None:
+            h = 1e-3 * max(self.data.n, 1)
+            steps = np.array([h, -h, 0.5 * h, -0.5 * h])[:, None, None]
+            f = self._release((steps * np.eye(self.cells)).reshape(-1, self.cells))[1]
+            # (4 D(h/2) - D(h)) / 3, D(t) = (f(t) - f(-t)) / 2t, times 6h
+            g = np.array([-1.0, 1.0, 8.0, -8.0]) @ f.reshape(4, self.cells)
+            self._grad2 = float(g @ g) / (6.0 * h) ** 2
+        return self._grad2
 
     def _draw(self, eps, source):
         return source.laplace_vector(self.scale(eps), self.cells)
@@ -228,7 +244,7 @@ class PreparedMechanism:
         return _as_value(self._release(self._draw(eps, source))[0])
 
     def run(self, eps: float, source: NoiseSource) -> Estimate:
-        eps = _check_eps(eps)
+        eps = check_epsilon(eps)
         z = self._draw(eps, source)
         val, raw, x = self._release(z)
         return Estimate(
@@ -249,10 +265,11 @@ def _cells_first(a):
     return a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)
 
 
-def _check_eps(eps) -> float:
+def check_epsilon(eps) -> float:
+    """eps as a float; DomainError unless it is finite and positive."""
     eps = float(eps)
-    if not eps > 0.0:
-        raise DomainError(f"epsilon must be > 0, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise DomainError(f"epsilon must be finite and > 0, got {eps}")
     return eps
 
 
@@ -479,9 +496,7 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
         raise DomainError(f"moment order must lie in [0, {k}], got {j}")
     return basis_spec(
         k, 1, id=spec.id, statistic=spec.statistic, aliases=spec.aliases,
-        post=lambda s, mu: mu[j],
-        exact=lambda data: float(moments_unnormalized(data, k)[j]),
-        predict=lambda data, eps: data.n**2 * moment_release_mse(k, j, eps),
+        post=lambda s, mu: mu[j], exact=lambda data: float(moments_unnormalized(data, k)[j]),
     )
 
 
@@ -494,7 +509,6 @@ _BEZIER_VARIANCE = basis_spec(
     aliases=("bezier_var",), post=_VARIANCE_POST,
     basis_cells=lambda data, s: np.array([s[0] - 2.0 * s[1] + s[2], 2.0 * (s[1] - s[2]), s[2]]),
     keys=_keys("n~ s_x~ s_x2~"), clip=VARIANCE_RANGE, exact=variance_exact,
-    predict=partial(basis_variance_mse, "bezier"),
 )
 _BEZIER_COVARIANCE = basis_spec(
     1, 2, id="bezier_covariance", statistic="covariance", family="bezier",
@@ -502,8 +516,7 @@ _BEZIER_COVARIANCE = basis_spec(
     basis_cells=lambda data, s: np.array(
         [s[0] - s[2] - s[1] + s[3], s[1] - s[3], s[2] - s[3], s[3]]
     ),
-    keys=_keys("n~ s_x~ s_y~ s_xy~", _BASIS_COV), clip=COVARIANCE_RANGE,
-    exact=covariance_exact, predict=bezier_covariance_mse,
+    keys=_keys("n~ s_x~ s_y~ s_xy~", _BASIS_COV), clip=COVARIANCE_RANGE, exact=covariance_exact,
 )
 # the covariance release on a duplicated column, cov(x, x) = var(x), then
 # clamped to the variance range
@@ -512,7 +525,6 @@ _VARIANCE_VIA_COVARIANCE = dataclasses.replace(
     family=None, aliases=("via_cov",),
     sums=lambda data, exact: moments_unnormalized(data, 2)[[0, 1, 1, 2]],
     clip=VARIANCE_RANGE, exact=variance_exact,
-    predict=partial(basis_variance_mse, "via_covariance"),
 )
 # the degree-1 basis release of (n, u): basis cells (n - u, u)
 _TRANSFORMED_VARIANCE = basis_spec(
@@ -520,12 +532,11 @@ _TRANSFORMED_VARIANCE = basis_spec(
     aliases=("transformed", "transformed_var"), shift=True, sums=_shift_sums,
     basis_cells=lambda data, s: np.array([s[0] - s[1], s[1]]),
     post=_shift_post(VARIANCE_RANGE), keys=_keys("n~ u~"), clip=VARIANCE_RANGE,
-    exact=variance_exact, predict=partial(basis_variance_mse, "transformed"),
+    exact=variance_exact,
 )
 _CORRELATION_BEZIER = basis_spec(
     2, 2, id="correlation_bezier", statistic="correlation", family="bezier",
-    post=_CORRELATION_POST, clip=CORRELATION_RANGE,
-    exact=correlation_exact,
+    post=_CORRELATION_POST, clip=CORRELATION_RANGE, exact=correlation_exact,
 )
 # the budget is split evenly across the three releases
 _CORRELATION_COMPOSED = Spec(
@@ -551,21 +562,19 @@ REGISTRY: dict[str, Spec] = {
         Spec(
             "swap_variance", "variance", 1, family="swap", aliases=("swap_var",), cells=1,
             shift=True, sums=_swap_sums, post=_swap_post, keys=_UNCLIPPED, exact=variance_exact,
-            predict=swap_mse,
         ),
         # cells: count, sum x, sum x^2
         Spec(
             "naive_variance", "variance", 1, family="naive", aliases=("naive_var",),
             cells=3, c=3.0, sums=lambda data, exact: moments_unnormalized(data, 2),
             post=_VARIANCE_POST, keys=_keys("n~ s_x~ s_x2~"),
-            clip=VARIANCE_RANGE, exact=variance_exact, predict=naive_variance_mse,
+            clip=VARIANCE_RANGE, exact=variance_exact,
         ),
         # cells: count, unnormalized statistic
         Spec(
             "improved_variance", "variance", 1, family="improved", aliases=("improved_var",),
             cells=2, c=2.0, shift=True, sums=_shift_sums, post=_shift_post(VARIANCE_RANGE),
             keys=_keys("n~ u~"), clip=VARIANCE_RANGE, exact=variance_exact,
-            predict=improved_variance_mse,
         ),
         _BEZIER_VARIANCE,
         _VARIANCE_VIA_COVARIANCE,
@@ -573,20 +582,18 @@ REGISTRY: dict[str, Spec] = {
         Spec(
             "swap_covariance", "covariance", 2, family="swap", aliases=("swap_cov",), cells=1,
             shift=True, sums=_swap_sums, post=_swap_post, keys=_UNCLIPPED, exact=covariance_exact,
-            predict=swap_mse,
         ),
         # cells: count, sum x, sum y, sum xy
         Spec(
             "naive_covariance", "covariance", 2, family="naive", aliases=("naive_cov",), cells=4,
             c=4.0, sums=lambda data, exact: _power_sums(data, 1, _BASIS_COV),
             post=_ratio_post(ratio_covariance, range(4), 0.0), keys=_keys("n~ s_x~ s_y~ s_xy~"),
-            clip=COVARIANCE_RANGE, exact=covariance_exact, predict=naive_covariance_mse,
+            clip=COVARIANCE_RANGE, exact=covariance_exact,
         ),
         Spec(
             "improved_covariance", "covariance", 2, family="improved", aliases=("improved_cov",),
             cells=2, c=2.0, shift=True, sums=_shift_sums, post=_shift_post(COVARIANCE_RANGE),
             keys=_keys("n~ u~"), clip=COVARIANCE_RANGE, exact=covariance_exact,
-            predict=improved_covariance_mse,
         ),
         _BEZIER_COVARIANCE,
         _CORRELATION_BEZIER,

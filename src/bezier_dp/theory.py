@@ -1,4 +1,4 @@
-"""Closed-form error theory for the private estimators.
+"""Error theory for the private estimators.
 
 Conventions:
   * epsilon is the privacy budget of a single release;
@@ -9,8 +9,13 @@ Conventions:
     MSE of the basis-aggregate mechanisms on a concrete dataset, described
     by its mean r and variance v (or means r_x, r_y and covariance c).
 
-All polynomial constants are evaluated directly from their factored forms;
-tests pin them against independently computed rational values.
+`predicted_normalized_mse` is the one per-dataset prediction, for every
+registry record: the delta method applied to the record's own kernel.  The
+closed forms here are the paper's results about it (instance constants,
+worst cases, the per-coefficient release cost) and the privacy floor
+`sigma_lower_bound`.  All polynomial constants are evaluated directly from
+their factored forms; tests pin them against independently computed
+rational values.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from . import mechanisms  # circular: the registry in mechanisms reads this module
 from .bernstein import MAX_DEGREE, binomial
-from .errors import DomainError
+from .errors import DomainError, UndefinedStatisticError
+from .mechanisms import PreparedMechanism, check_epsilon, prepare
 from .stats import Dataset, feasible_rxy_bounds
 
 _FEAS_TOL = 1e-12
@@ -40,9 +43,7 @@ def sigma_lower_bound(eps: float) -> float:
     evaluated via expm1 so small eps suffers no cancellation.  The value is
     strictly decreasing in eps and behaves like 2/eps^2 as eps -> 0.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise DomainError(f"epsilon must be > 0, got {eps}")
+    eps = check_epsilon(eps)
     t = math.exp(-eps)
     num = 2.0 ** (-2.0 / 3.0) * math.exp(-2.0 * eps / 3.0) * (1.0 + t) ** (2.0 / 3.0) + t
     den = math.expm1(-eps) ** 2
@@ -67,9 +68,7 @@ def moment_release_mse(k: int, j: int, eps: float) -> float:
     is at most 2k/eps^2; at j = 0 it equals 2(k+1)/eps^2 exactly because the
     count row of the inverse matrix is all ones.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise DomainError(f"epsilon must be > 0, got {eps}")
+    eps = check_epsilon(eps)
     return (2.0 / eps**2) * float(inverse_row_weight(k, j))
 
 
@@ -148,66 +147,8 @@ def worst_case_table() -> dict[str, float]:
     }
 
 
-def _variance_profile(data: Dataset) -> tuple[float, float, float]:
-    """Mean r, second moment m2 and variance v of column 0."""
-    if data.n < 1:
-        raise DomainError("a variance prediction needs a nonempty dataset")
-    x = data.column(0)
-    r = float(np.mean(x))
-    m2 = float(np.mean(x * x))
-    return r, m2, max(0.0, m2 - r * r)
-
-
-def _covariance_profile(data: Dataset) -> tuple[float, float, float, float]:
-    """Means r_x, r_y, E[xy] and covariance c of a two-column dataset."""
-    if data.n < 1:
-        raise DomainError("a covariance prediction needs a nonempty dataset")
-    x, y = data.column(0), data.column(1)
-    rx, ry = float(np.mean(x)), float(np.mean(y))
-    mxy = float(np.mean(x * y))
-    return rx, ry, mxy, mxy - rx * ry
-
-
-# First-order normalized MSE of each mechanism on a dataset; the registry in
-# `mechanisms` names which one a mechanism uses.
-
-def swap_mse(data: Dataset, eps: float) -> float:
-    return 2.0 / eps**2
-
-
-def naive_variance_mse(data: Dataset, eps: float) -> float:
-    r, m2, _ = _variance_profile(data)
-    return (18.0 / eps**2) * (1.0 + 4.0 * r * r + (2.0 * r * r - m2) ** 2)
-
-
-def improved_variance_mse(data: Dataset, eps: float) -> float:
-    v = _variance_profile(data)[2]
-    return (8.0 / eps**2) * (1.0 + v * v)
-
-
-def basis_variance_mse(route: str, data: Dataset, eps: float) -> float:
-    """`route` names the `InstanceConstants` field of the variance mechanism."""
-    r, _, v = _variance_profile(data)
-    return (2.0 / eps**2) * getattr(instance_constants(r, v), route)
-
-
-def naive_covariance_mse(data: Dataset, eps: float) -> float:
-    rx, ry, mxy, _ = _covariance_profile(data)
-    return (32.0 / eps**2) * (1.0 + rx * rx + ry * ry + (2.0 * rx * ry - mxy) ** 2)
-
-
-def improved_covariance_mse(data: Dataset, eps: float) -> float:
-    c = _covariance_profile(data)[3]
-    return (8.0 / eps**2) * (1.0 + c * c)
-
-
-def bezier_covariance_mse(data: Dataset, eps: float) -> float:
-    rx, ry, _, c = _covariance_profile(data)
-    return (2.0 / eps**2) * covariance_instance_constant(rx, ry, c)
-
-
 def predicted_normalized_mse(
-    mechanism_id: str,
+    mechanism: str | PreparedMechanism,
     data: Dataset,
     eps: float,
     moment_k: int | None = None,
@@ -215,17 +156,25 @@ def predicted_normalized_mse(
 ) -> float | None:
     """First-order normalized-MSE prediction for a mechanism on a dataset.
 
-    Instance quantities (means, variances, covariance) are measured from the
-    dataset itself, which must have the mechanism's number of columns.
-    Returns None for mechanisms without a closed form (the correlation
-    pipelines and the moments beyond the variance).  For ``moment_release``
-    the prediction is n^2 times the raw power-sum MSE so that it lives on
-    the same normalized scale as every other row.
+    A release is value(z) with z i.i.d. Laplace at scale b = `scale(eps)`,
+    so to first order n^2 times its MSE is n^2 * 2 b^2 * |d value / d z|^2
+    at z = 0 (`PreparedMechanism.gradient_norm2`).  For ``moment_release``
+    that is n^2 times `moment_release_mse`.  `mechanism` is an id, or a
+    `PreparedMechanism` bound to `data`, which keeps its gradient for the
+    next epsilon.  Returns None where the exact value sits on a clip bound;
+    raises DomainError where the statistic is undefined on `data`.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise DomainError(f"epsilon must be > 0, got {eps}")
-    spec = mechanisms.mechanism_spec(mechanism_id, moment_k, moment_j)
-    if data.d != spec.d:
-        raise DomainError(f"{spec.id} needs d={spec.d} data, got d={data.d}")
-    return None if spec.predict is None else spec.predict(data, eps)
+    eps = check_epsilon(eps)
+    if isinstance(mechanism, PreparedMechanism):
+        if mechanism.data is not data:
+            raise DomainError(f"{mechanism.mechanism_id} is bound to another dataset")
+        p = mechanism
+    else:
+        try:
+            p = prepare(mechanism, data, moment_k, moment_j)
+        except UndefinedStatisticError as exc:
+            raise DomainError(str(exc)) from None
+    if p.exact_value is None:
+        raise DomainError(f"{p.mechanism_id}: the statistic is undefined on this dataset")
+    g2 = p.gradient_norm2()
+    return None if g2 is None else data.n**2 * 2.0 * p.scale(eps) ** 2 * g2

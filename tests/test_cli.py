@@ -215,14 +215,31 @@ def test_benchmark_config_file_with_override(tmp_path, capsys):
 
 
 def test_benchmark_correlation_prediction_dash(capsys):
+    # exact correlation 1.0 sits on the clip bound: no prediction
     rc = main(
         ["benchmark", "--statistic", "correlation", "--mechanisms", "bezier",
-         "--epsilons", "1", "--distribution", "correlated:0.5",
+         "--epsilons", "1", "--distribution", "correlated:1",
          "--n", "50", "--trials", "4"]
     )
     assert rc == EXIT_OK
     body = capsys.readouterr().out.strip().split("\n")[1]
     assert body.split()[-1] == "-"
+
+
+def test_benchmark_prediction_dash_on_a_clip_edge(capsys):
+    # one record has variance 0, and beta:0.999999 data are all ones: the
+    # exact value sits on the clip bound 0, so the clipped releases have no
+    # first-order prediction; the unclipped swap release keeps its 2
+    for extra in (["--n", "1"], ["--n", "200", "--distribution", "beta:0.999999"]):
+        rc = main(["benchmark", "--mechanisms", "bezier,naive,improved,transformed,swap",
+                   "--epsilons", "1", "--trials", "50", *extra])
+        assert rc == EXIT_OK
+        rows = {line.split()[0]: line.split()[-1]
+                for line in capsys.readouterr().out.strip().split("\n")[1:]}
+        assert rows == {
+            "bezier_variance": "-", "naive_variance": "-", "improved_variance": "-",
+            "transformed_variance": "-", "swap_variance": "2",
+        }
 
 
 def test_benchmark_statistic_choices_come_from_the_registry(capsys):
@@ -293,6 +310,17 @@ def test_theory_sigma(capsys):
     assert f"sigma(1) = {sigma_lower_bound(1.0)!r}" in out
     assert main(["theory", "sigma", "--epsilon", "-1"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_infinite_epsilon_is_a_config_error(data_csv, capsys):
+    message = "error: epsilon must be finite and > 0, got inf"
+    for argv in (
+        ["estimate", "--data", data_csv, "--mechanism", "bezier", "--epsilon", "inf"],
+        ["theory", "sigma", "--epsilon", "inf"],
+        ["theory", "moment", "--k", "3", "--j", "1", "--epsilon", "inf"],
+    ):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_theory_constants(capsys):

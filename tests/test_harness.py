@@ -457,12 +457,14 @@ def test_benchmark_csv_and_sidecar(tmp_path):
 
 
 def test_benchmark_correlation_prediction_blank_in_csv(tmp_path):
+    # correlated:1 gives an exact correlation of 1.0, the clip bound, where
+    # the first-order prediction does not apply
     out = tmp_path / "corr.csv"
     cfg = _cfg(
         statistic="correlation",
         mechanisms=["bezier"],
         distribution="correlated",
-        dist_param=0.5,
+        dist_param=1.0,
         n=60,
         trials=4,
         output_path=str(out),

@@ -1,5 +1,6 @@
 """Analytic layer: frozen numeric oracles and exact rational identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,14 +12,18 @@ from hypothesis import strategies as st
 from bezier_dp import (
     Dataset,
     DomainError,
+    ExperimentConfig,
     covariance_instance_constant,
     instance_constants,
     inverse_row_weight,
     moment_release_mse,
     predicted_normalized_mse,
+    prepare,
+    run_benchmark,
     sigma_lower_bound,
     worst_case_table,
 )
+from bezier_dp.mechanisms import REGISTRY
 
 # Frozen with mpmath at 50 digits; the implementation must agree to the last ulp
 # of a straightforward double evaluation (1e-15 relative is ample headroom).
@@ -176,13 +181,13 @@ def test_predicted_normalized_mse_uniform_limits():
     # exact-uniform measured statistics: r = 1/2, E[x^2] = 1/3
     xs = (np.arange(100000) + 0.5) / 100000.0
     data = Dataset(xs)
-    assert predicted_normalized_mse("swap_variance", data, 1.0) == 2.0
+    assert predicted_normalized_mse("swap_variance", data, 1.0) == pytest.approx(2.0, rel=1e-9)
     assert predicted_normalized_mse("naive_variance", data, 1.0) == pytest.approx(
         36.5, rel=1e-3
     )
     v = float(np.var(xs))
     assert predicted_normalized_mse("improved_variance", data, 1.0) == pytest.approx(
-        8.0 * (1.0 + v * v), rel=1e-12
+        8.0 * (1.0 + v * v), rel=1e-9
     )
     assert predicted_normalized_mse("bezier_variance", data, 1.0) == pytest.approx(
         1.0 / 3.0, rel=1e-3
@@ -204,9 +209,19 @@ def test_predicted_normalized_mse_covariance_and_special():
     assert predicted_normalized_mse("bezier_covariance", pairs, 1.0) == pytest.approx(
         0.5, rel=2e-2
     )
-    assert predicted_normalized_mse("correlation_bezier", pairs, 1.0) is None
-    assert predicted_normalized_mse("correlation_composed", pairs, 1.0) is None
-    assert predicted_normalized_mse("correlation_naive", pairs, 1.0) is None
+    # independent uniform columns: correlation ~ 0, so its gradient is the
+    # covariance gradient over var(x) var(y) = 1/144.  Degree-2 basis cells
+    # of (x - 1/2)(y - 1/2) have the degree-1 norm; composed runs the
+    # covariance at eps/3; naive has 6 sums where naive_covariance has 4.
+    assert predicted_normalized_mse("correlation_bezier", pairs, 1.0) == pytest.approx(
+        144.0 * 0.5, rel=2e-2
+    )
+    assert predicted_normalized_mse("correlation_composed", pairs, 1.0) == pytest.approx(
+        144.0 * 9.0 * 0.5, rel=2e-2
+    )
+    assert predicted_normalized_mse("correlation_naive", pairs, 1.0) == pytest.approx(
+        144.0 * (36.0 / 16.0) * 50.0, rel=2e-2
+    )
     one = Dataset([0.5])
     assert predicted_normalized_mse(
         "moment_release", one, 1.0, moment_k=2, moment_j=1
@@ -224,3 +239,185 @@ def test_predicted_normalized_mse_covariance_and_special():
         predicted_normalized_mse("swap_covariance", one, 1.0)
     with pytest.raises(DomainError):
         predicted_normalized_mse("swap_variance", one, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the generic prediction against the closed forms it replaced
+# ---------------------------------------------------------------------------
+
+def _profile1(data):
+    """Mean r, second moment m2 and variance v of column 0."""
+    x = data.column(0)
+    r, m2 = float(np.mean(x)), float(np.mean(x * x))
+    return r, m2, max(0.0, m2 - r * r)
+
+
+def _profile2(data):
+    """Means r_x, r_y, E[xy] and covariance c of two columns."""
+    x, y = data.column(0), data.column(1)
+    rx, ry, mxy = float(np.mean(x)), float(np.mean(y)), float(np.mean(x * y))
+    return rx, ry, mxy, mxy - rx * ry
+
+
+def swap_mse(data, eps):
+    return 2.0 / eps**2
+
+
+def naive_variance_mse(data, eps):
+    r, m2, _ = _profile1(data)
+    return (18.0 / eps**2) * (1.0 + 4.0 * r * r + (2.0 * r * r - m2) ** 2)
+
+
+def improved_variance_mse(data, eps):
+    return (8.0 / eps**2) * (1.0 + _profile1(data)[2] ** 2)
+
+
+def basis_variance_mse(route, data, eps):
+    r, _, v = _profile1(data)
+    return (2.0 / eps**2) * getattr(instance_constants(r, v), route)
+
+
+def naive_covariance_mse(data, eps):
+    rx, ry, mxy, _ = _profile2(data)
+    return (32.0 / eps**2) * (1.0 + rx * rx + ry * ry + (2.0 * rx * ry - mxy) ** 2)
+
+
+def improved_covariance_mse(data, eps):
+    return (8.0 / eps**2) * (1.0 + _profile2(data)[3] ** 2)
+
+
+def bezier_covariance_mse(data, eps):
+    rx, ry, _, c = _profile2(data)
+    return (2.0 / eps**2) * covariance_instance_constant(rx, ry, c)
+
+
+_CLOSED_FORMS = {
+    "swap_variance": swap_mse,
+    "naive_variance": naive_variance_mse,
+    "improved_variance": improved_variance_mse,
+    "bezier_variance": lambda data, eps: basis_variance_mse("bezier", data, eps),
+    "variance_via_covariance": lambda data, eps: basis_variance_mse("via_covariance", data, eps),
+    "transformed_variance": lambda data, eps: basis_variance_mse("transformed", data, eps),
+    "swap_covariance": swap_mse,
+    "naive_covariance": naive_covariance_mse,
+    "improved_covariance": improved_covariance_mse,
+    "bezier_covariance": bezier_covariance_mse,
+}
+
+
+@pytest.mark.parametrize("n", [2, 5, 50, 1000, 100_000])
+def test_generic_prediction_matches_closed_forms(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    for a in range(1, 6):
+        data = {1: Dataset(x**a), 2: Dataset(np.column_stack([x**a, y ** (6 - a)]))}
+        for eps in (0.1, 1.0):
+            for mid, closed in _CLOSED_FORMS.items():
+                d = data[REGISTRY[mid].d]
+                got = predicted_normalized_mse(mid, d, eps)
+                assert got == pytest.approx(closed(d, eps), rel=1e-9), (mid, a, eps)
+            for k, j in ((2, 0), (3, 1), (8, 4)):
+                got = predicted_normalized_mse("moment_release", data[1], eps, k, j)
+                want = n**2 * moment_release_mse(k, j, eps)
+                assert got == pytest.approx(want, rel=1e-9), (k, j, a, eps)
+
+
+def test_prediction_differentiates_the_unclipped_value():
+    # variance 9.1e-6 at n = 2: difference steps cross the clip bound 0, so
+    # differentiating the clipped release reads 4.73 instead of 18.10
+    half = math.sqrt(9.1e-6)
+    data = Dataset([0.037 - half, 0.037 + half])
+    got = predicted_normalized_mse("naive_variance", data, 1.0)
+    assert got == pytest.approx(naive_variance_mse(data, 1.0), rel=1e-9)
+    assert got == pytest.approx(18.1, rel=1e-3)
+
+
+def test_prediction_none_on_a_clip_edge():
+    # one record: variance 0 is VARIANCE_RANGE.lo; two-point {0, 1}: 0.25 its hi
+    for data in (Dataset([0.3]), Dataset([0.0, 1.0])):
+        for mid in ("naive_variance", "improved_variance", "bezier_variance",
+                    "variance_via_covariance", "transformed_variance"):
+            assert predicted_normalized_mse(mid, data, 1.0) is None, mid
+        # the swap release is not clipped
+        assert predicted_normalized_mse("swap_variance", data, 1.0) == pytest.approx(2.0)
+
+
+def test_prediction_from_a_prepared_mechanism():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.uniform(0, 1, 200))
+    p = prepare("bezier_variance", data)
+    for eps in (0.3, 1.0):
+        assert predicted_normalized_mse(p, data, eps) == predicted_normalized_mse(
+            "bezier_variance", data, eps
+        )
+    with pytest.raises(DomainError):
+        predicted_normalized_mse(p, Dataset(rng.uniform(0, 1, 200)), 1.0)
+
+
+def test_every_registry_id_has_a_prediction():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0, 1, 500)
+    data = {1: Dataset(x), 2: Dataset(np.column_stack([x, 0.5 * x + 0.5 * rng.uniform(0, 1, 500)]))}
+    for mid, spec in REGISTRY.items():
+        pred = predicted_normalized_mse(mid, data[spec.d], 1.0, moment_k=3, moment_j=1)
+        assert pred is not None and math.isfinite(pred) and pred > 0.0, mid
+
+
+def test_worst_case_table_from_the_generic_prediction():
+    # maximize eps^2 * prediction over {0,1}-valued datasets at n = 1000.
+    # Some maxima sit on a clip edge, where the prediction is None, and are
+    # only approached.
+    n = 1000
+    table = worst_case_table()
+    entry = {
+        "swap_variance": "swap", "naive_variance": "naive_var",
+        "improved_variance": "improved", "bezier_variance": "bezier_var",
+        "transformed_variance": "transformed_var", "swap_covariance": "swap",
+        "naive_covariance": "naive_cov", "improved_covariance": "improved",
+        "bezier_covariance": "bezier_cov",
+    }
+    best = dict.fromkeys(entry, 0.0)
+    for ones in range(n + 1):
+        data = Dataset(np.repeat([0.0, 1.0], [n - ones, ones]))
+        for mid in best:
+            if REGISTRY[mid].d == 1:
+                best[mid] = max(best[mid], predicted_normalized_mse(mid, data, 1.0) or 0.0)
+    # cell counts (n00, n01, n10, n11) in steps of 100
+    for c00, c01, c10 in itertools.product(range(0, n + 1, 100), repeat=3):
+        c11 = n - c00 - c01 - c10
+        if c11 < 0:
+            continue
+        rows = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [c00, c01, c10, c11], axis=0)
+        data = Dataset(rows)
+        for mid in best:
+            if REGISTRY[mid].d == 2:
+                best[mid] = max(best[mid], predicted_normalized_mse(mid, data, 1.0) or 0.0)
+    for mid, key in entry.items():
+        assert 0.99 * table[key] <= best[mid] <= table[key] * (1.0 + 1e-9), (mid, best[mid])
+
+
+# measured/predicted for the ids whose prediction has no closed form
+_NEW_PREDICTIONS = (
+    ("correlation", ("correlation_bezier", "correlation_composed", "correlation_naive"),
+     "correlated", 0.5),
+    ("skewness", ("bezier_skewness",), "beta", 0.3),
+    ("kurtosis", ("bezier_kurtosis",), "beta", 0.3),
+    ("centered_moment_3", ("bezier_centered_moment_3",), "beta", 0.3),
+    ("centered_moment_4", ("bezier_centered_moment_4",), "beta", 0.3),
+)
+
+
+@pytest.mark.parametrize("statistic,mids,dist,param", _NEW_PREDICTIONS)
+def test_new_predictions_match_monte_carlo(statistic, mids, dist, param):
+    cfg = ExperimentConfig(
+        mechanisms=list(mids), epsilons=[1.0], n=1000, trials=200_000,
+        statistic=statistic, distribution=dist, dist_param=param,
+    )
+    for row in run_benchmark(cfg).rows:
+        ratio = row.normalized_mse / row.analytic_prediction
+        if row.mechanism == "correlation_naive":
+            # second-order terms lift it 3-10% above the first-order value
+            print(f"correlation_naive measured/predicted = {ratio:.4f}")
+            assert ratio >= 0.97
+        else:
+            assert abs(ratio - 1.0) <= 0.03, (row.mechanism, ratio)
