@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -354,16 +356,103 @@ def generate_dataset(cfg: ExperimentConfig, trial_seed: int) -> Dataset:
     raise ConfigError(f"unknown distribution {cfg.distribution!r}")
 
 
+# numpy strips these around a number as whitespace; float() rejects them
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
 def load_csv_dataset(path: str, clip_input: bool = False) -> Dataset:
     """Read a numeric CSV (optional header) into a Dataset.
 
     Cells must parse as floats in [0, 1] unless `clip_input` clamps them.
-    Raises DataFormatError with the offending row on any problem.
+    Blank lines are skipped and a UTF-8 byte-order mark is accepted.  The
+    first non-blank row is a header when none of its cells parses as a
+    float; a row that mixes numbers and labels is an error.  A well-formed
+    file is parsed by one np.loadtxt call; anything else goes to the
+    row-by-row parser, which gives the same array or raises
+    DataFormatError naming the file line (counting blank lines and the
+    header) of the first problem.
+    """
+    arr = _load_csv_fast(path, clip_input)
+    if arr is None:
+        arr = _load_csv_rows(path, clip_input)
+    return Dataset(arr)
+
+
+def _parse_float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _load_csv_fast(path: str, clip_input: bool) -> np.ndarray | None:
+    """The array of a well-formed file, or None to leave it to the row parser.
+
+    None covers every case this path does not settle: an unreadable file, a
+    first row that is not plainly a header or plainly numbers, anything
+    np.loadtxt rejects or warns about, and a non-finite or (without
+    `clip_input`) out-of-range value.
     """
     try:
-        with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    except OSError as exc:
+        skip = _csv_lines_before_data(path)
+        if skip is None:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                encoding="utf-8-sig", skiprows=skip,
+            )
+    except (OSError, ValueError, UserWarning):
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    if clip_input:
+        return np.clip(arr, 0.0, 1.0)
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        return None
+    return arr
+
+
+def _csv_lines_before_data(path: str) -> int | None:
+    """Lines before the first data row (blank lines, then a header if any).
+
+    None where the row parser must decide: no non-blank row, a first row
+    that mixes numbers and labels, quoting, or a character that numpy and
+    float() read differently.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if any(c in raw for c in _NUMPY_ONLY_SPACE):
+        return None
+    skip = 0
+    for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig"):
+        if '"' in line:
+            return None  # quoting is the csv module's business
+        cells = line.rstrip("\n").split(",")
+        if any(c.strip() for c in cells):
+            break
+        skip += 1
+    else:
+        return None
+    parsed = [_parse_float(c) for c in cells]
+    if all(v is None for v in parsed):
+        return skip + 1  # header line
+    if any(v is None for v in parsed):
+        return None
+    return skip
+
+
+def _load_csv_rows(path: str, clip_input: bool) -> np.ndarray:
+    """Row-by-row parse that names the file line of the first problem."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                raw = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+            except csv.Error as exc:
+                raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not raw:
         raise DataFormatError(f"{path}: no data rows")
@@ -374,40 +463,42 @@ def load_csv_dataset(path: str, clip_input: bool = False) -> Dataset:
         except ValueError:
             return None
 
-    start = 0
-    first = parse_row(raw[0])
-    if first is None:
-        if all(parse_row([c]) is None for c in raw[0]):
-            start = 1  # header line
-        else:
-            raise DataFormatError(f"{path}: row 1 mixes numbers and labels")
+    first_line, first_row = raw[0]
+    if parse_row(first_row) is None:
+        if any(_parse_float(c) is not None for c in first_row):
+            raise DataFormatError(f"{path}: row {first_line} mixes numbers and labels")
+        raw = raw[1:]  # header line
     rows = []
     width = None
-    for i, row in enumerate(raw[start:], start=start + 1):
+    for line, row in raw:
         vals = parse_row(row)
         if vals is None:
-            raise DataFormatError(f"{path}: row {i}: non-numeric cell in {row!r}")
+            raise DataFormatError(f"{path}: row {line}: non-numeric cell in {row!r}")
         if width is None:
             width = len(vals)
         elif len(vals) != width:
             raise DataFormatError(
-                f"{path}: row {i}: expected {width} column(s), got {len(vals)}"
+                f"{path}: row {line}: expected {width} column(s), got {len(vals)}"
             )
         rows.append(vals)
     if not rows:
         raise DataFormatError(f"{path}: no data rows after the header")
     arr = np.array(rows, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataFormatError(f"{path}: non-finite value in data")
-    if clip_input:
-        arr = np.clip(arr, 0.0, 1.0)
-    elif arr.min() < 0.0 or arr.max() > 1.0:
-        bad = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
+    lines = [line for line, _row in raw]
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
         raise DataFormatError(
-            f"{path}: row {int(bad[0]) + start + 1}: value {arr[tuple(bad)]} outside "
+            f"{path}: row {lines[bad[0, 0]]}: non-finite value {arr[tuple(bad[0])]}"
+        )
+    if clip_input:
+        return np.clip(arr, 0.0, 1.0)
+    bad = np.argwhere((arr < 0.0) | (arr > 1.0))
+    if bad.size:
+        raise DataFormatError(
+            f"{path}: row {lines[bad[0, 0]]}: value {arr[tuple(bad[0])]} outside "
             "[0, 1] (pass clip_input to clamp)"
         )
-    return Dataset(arr)
+    return arr
 
 
 # ---------------------------------------------------------------------------

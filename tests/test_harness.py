@@ -291,6 +291,10 @@ def test_load_csv_errors(tmp_path):
         assert needle in str(exc.value), name
     with pytest.raises(DataFormatError):
         load_csv_dataset(str(tmp_path / "missing.csv"))
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"x\n0.5\n\xe9\n")
+    with pytest.raises(DataFormatError, match="cannot read"):
+        load_csv_dataset(str(latin1))
 
 
 def test_load_csv_clip_input(tmp_path):
@@ -306,6 +310,37 @@ def test_load_csv_range_error_respects_header_offset(tmp_path):
     with pytest.raises(DataFormatError) as exc:
         load_csv_dataset(str(p))
     assert "row 3" in str(exc.value)
+
+
+def test_load_csv_errors_name_the_file_line(tmp_path):
+    # Blank lines and the header count: the row number is the file's line.
+    cases = {
+        "range.csv": ("0.5\n\n\n2.0\n", "row 4: value 2.0 outside [0, 1]"),
+        "bad_cell.csv": ("0.1,0.2\n\n0.3,oops\n", "row 3: non-numeric cell"),
+        "nonfinite.csv": ("x\n\n0.1\n\nnan\n", "row 5: non-finite value nan"),
+        "mixed.csv": ("\n \nx,0.5\n0.1,0.2\n", "row 3 mixes numbers and labels"),
+        "ragged.csv": ("x,y\r\n\r\n0.1,0.2\r\n0.3\r\n", "row 4: expected 2 column(s), got 1"),
+        "huge_cell.csv": ("0.5,0.5\n0." + "1" * 200_000 + "\n", "row 2: field larger than"),
+    }
+    for name, (text, needle) in cases.items():
+        p = tmp_path / name
+        p.write_bytes(text.encode())
+        with pytest.raises(DataFormatError) as exc:
+            load_csv_dataset(str(p))
+        assert needle in str(exc.value), name
+
+
+def test_load_csv_accepts_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes("\ufeff0.1,0.2\n0.3,0.4\n".encode())
+    assert load_csv_dataset(str(p)).values.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    h = tmp_path / "bom_header.csv"
+    h.write_bytes("\ufeffx,y\n0.1,0.2\n".encode())
+    assert load_csv_dataset(str(h)).values.tolist() == [[0.1, 0.2]]
+    q = tmp_path / "bom_bad.csv"
+    q.write_bytes("\ufeff0.1\n2.0\n".encode())
+    with pytest.raises(DataFormatError, match="row 2: value 2.0"):
+        load_csv_dataset(str(q))
 
 
 # ---------------------------------------------------------------------------
