@@ -23,12 +23,9 @@ from .bernstein import (
     MAX_VECTOR_LEN,
     basis_matrix,
     bernstein_aggregate,
-    bernstein_eval,
     bezier_inverse,
     bezier_matrix,
-    flat_index,
     multi_indices,
-    multivariate_bernstein_eval,
     tensor_apply_inverse,
 )
 from .noise import (
@@ -118,12 +115,9 @@ __all__ = [
     "MAX_VECTOR_LEN",
     "basis_matrix",
     "bernstein_aggregate",
-    "bernstein_eval",
     "bezier_inverse",
     "bezier_matrix",
-    "flat_index",
     "multi_indices",
-    "multivariate_bernstein_eval",
     "tensor_apply_inverse",
     # noise
     "NoiseRows",

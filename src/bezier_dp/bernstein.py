@@ -12,13 +12,16 @@ upper-triangular basis change whose inverse has the closed form
 
     (M^-1)[j][l] = C(l, j) / C(k, j)       for j <= l, else 0.
 
-All matrices here are exact `fractions.Fraction` values; float copies for
-the numeric pipeline are derived (and cached) from the exact ones.
+All matrices here are exact `fractions.Fraction` values.  The numeric basis
+is evaluated cells first: one kernel writes B_j for every point into its
+own contiguous row, with powers built by repeated multiplication, and the
+aggregate sums each tensor-product cell along its contiguous records.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,8 +32,9 @@ from .errors import CapacityError, DomainError
 MAX_DEGREE = 60
 MAX_VECTOR_LEN = 1_000_000
 
-# Chunk size (records per block) when summing basis vectors over a dataset.
+# Most records, and most basis values, in one block of `bernstein_aggregate`.
 _AGG_CHUNK = 1 << 16
+_AGG_VALUES = 1 << 22
 
 _pascal_rows: list[list[int]] = [[1]]
 
@@ -46,15 +50,6 @@ def _check_degree(k) -> int:
     return k
 
 
-def _check_index(j, k: int, what: str = "index") -> int:
-    if not isinstance(j, (int, np.integer)):
-        raise DomainError(f"{what} must be an integer, got {j!r}")
-    j = int(j)
-    if not 0 <= j <= k:
-        raise DomainError(f"{what} must lie in [0, {k}], got {j}")
-    return j
-
-
 def binomial(n: int, j: int) -> int:
     """C(n, j) from a grown-on-demand Pascal triangle (exact int)."""
     if n < 0 or j < 0 or j > n:
@@ -66,26 +61,44 @@ def binomial(n: int, j: int) -> int:
     return _pascal_rows[n][j]
 
 
-def bernstein_eval(k: int, j: int, x: float) -> float:
-    """Evaluate the degree-k Bernstein polynomial B_j at x in [0, 1]."""
-    k = _check_degree(k)
-    j = _check_index(j, k)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"evaluation point must lie in [0, 1], got {x}")
-    return binomial(k, j) * x**j * (1.0 - x) ** (k - j)
+def _basis_cells_first(k: int, xs: np.ndarray) -> np.ndarray:
+    """B_0..B_k at every entry of `xs`: shape (k+1, *xs.shape), B_j in row j.
+
+    Row j first holds x**j, built by repeated multiplication (no `pow`),
+    and is then multiplied by (1-x)**(k-j) and, only when 0 < j < k, by
+    C(k, j).  Every row is contiguous.
+    """
+    out = np.empty((k + 1,) + xs.shape)
+    out[1] = xs
+    for j in range(2, k + 1):
+        np.multiply(out[j - 1], out[1], out=out[j])
+    y = 1.0 - out[1]
+    out[0] = y  # (1-x)**(k-j) as j falls; (1-x)**k when done
+    for j in range(k - 1, 0, -1):
+        out[j] *= out[0]
+        out[0] *= y
+    if k > 1:
+        out[1:k] *= _binomials(k).reshape((k - 1,) + (1,) * xs.ndim)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(k: int) -> np.ndarray:
+    """C(k, 1)..C(k, k-1) as floats (read-only: every call shares it)."""
+    coef = np.array([float(binomial(k, j)) for j in range(1, k)])
+    coef.flags.writeable = False
+    return coef
 
 
 def basis_matrix(k: int, xs: np.ndarray) -> np.ndarray:
     """Rows = records, columns = B_0..B_k evaluated at each record.
 
-    `xs` may carry leading axes: shape (..., n) gives (..., n, k+1).
+    `xs` may carry leading axes: shape (..., n) gives (..., n, k+1).  The
+    result is a view of the cells-first kernel's (k+1, ..., n) array, so
+    each column is contiguous in memory.
     """
     k = _check_degree(k)
-    xs = np.asarray(xs, dtype=np.float64)
-    js = np.arange(k + 1)
-    coef = np.array([float(binomial(k, j)) for j in js])
-    return coef * xs[..., None] ** js * (1.0 - xs[..., None]) ** (k - js)
+    return np.moveaxis(_basis_cells_first(k, np.asarray(xs, dtype=np.float64)), 0, -1)
 
 
 def bezier_matrix(k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -124,10 +137,6 @@ def matrix_multiply(
     )
 
 
-def matrix_to_float(mat: tuple[tuple[Fraction, ...], ...]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in mat], dtype=np.float64)
-
-
 def _check_dims(k: int, d) -> tuple[int, int]:
     k = _check_degree(k)
     if not isinstance(d, (int, np.integer)) or int(d) < 1:
@@ -146,40 +155,21 @@ def multi_indices(k: int, d: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(k + 1), repeat=d))
 
 
-def flat_index(alpha: tuple[int, ...], k: int) -> int:
-    """Position of multi-index alpha in the `multi_indices(k, len(alpha))` order."""
-    k = _check_degree(k)
-    if len(alpha) < 1:
-        raise DomainError("multi-index must have at least one coordinate")
-    pos = 0
-    for a in alpha:
-        a = _check_index(a, k, "multi-index coordinate")
-        pos = pos * (k + 1) + a
-    return pos
-
-
-def multivariate_bernstein_eval(k: int, alpha: tuple[int, ...], z) -> float:
-    """Product over coordinates of B_{alpha_i}(z_i)."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if len(alpha) != z.shape[0]:
-        raise DomainError(
-            f"multi-index has {len(alpha)} coordinates but point has {z.shape[0]}"
-        )
-    out = 1.0
-    for a, zi in zip(alpha, z):
-        out *= bernstein_eval(k, a, float(zi))
-    return out
-
-
 def bernstein_aggregate(values: np.ndarray, k: int) -> np.ndarray:
     """Sum of tensor-product basis vectors over all records.
 
     `values` has shape (..., n, d) with entries in [0, 1]: one (n, d)
     dataset, or a block of equally sized datasets along leading axes.
     Returns the flat aggregate of length (k+1)**d in `multi_indices` order,
-    one per dataset.  Each dataset's records are added one after another,
-    so a dataset's aggregate does not depend on the block it comes in.
-    Summation is chunked so memory stays bounded for large n.
+    one per dataset.
+
+    The basis is built cells first, shape (cells, datasets, records), and
+    each cell is summed along its contiguous records (numpy's pairwise
+    sum).  Records go in chunks of clamp(2**22 // cells, 1, 65536), whose
+    sums are added in record order; datasets go in groups of at most about
+    2**22 basis values.  Working memory is thus bounded whatever n, k and
+    d are, and a dataset's aggregate does not depend on the block it
+    comes in.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim < 2:
@@ -188,20 +178,20 @@ def bernstein_aggregate(values: np.ndarray, k: int) -> np.ndarray:
         )
     *lead, n, d = values.shape
     k, d = _check_dims(k, d)
-    total = np.zeros((*lead, (k + 1) ** d), dtype=np.float64)
-    chunk_sums = []
-    for start in range(0, n, _AGG_CHUNK):
-        block = values[..., start : start + _AGG_CHUNK, :]
-        acc = basis_matrix(k, block[..., 0])
-        for col in range(1, d):
-            nxt = basis_matrix(k, block[..., col])
-            acc = (acc[..., :, None] * nxt[..., None, :]).reshape(
-                (*block.shape[:-1], (k + 1) ** (col + 1))
-            )
-        chunk_sums.append(acc.sum(axis=-2))
-    if chunk_sums:
-        total = np.sum(np.stack(chunk_sums), axis=0)
-    return total
+    cells = (k + 1) ** d
+    step = min(max(_AGG_VALUES // cells, 1), _AGG_CHUNK)
+    flat = values.reshape((math.prod(lead), n, d))
+    group = max(_AGG_VALUES // (cells * max(min(n, step), 1)), 1)
+    total = np.zeros((flat.shape[0], cells))
+    for first in range(0, flat.shape[0], group):
+        for start in range(0, n, step):
+            part = flat[first : first + group, start : start + step]
+            acc = _basis_cells_first(k, part[..., 0])
+            for col in range(1, d):
+                nxt = _basis_cells_first(k, part[..., col])
+                acc = (acc[:, None] * nxt).reshape((-1,) + part.shape[:-1])
+            total[first : first + group] += acc.sum(axis=-1).T
+    return total.reshape((*lead, cells))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -418,12 +418,15 @@ def _csv_lines_before_data(path: str) -> int | None:
     """Lines before the first data row (blank lines, then a header if any).
 
     None where the row parser must decide: no non-blank row, a first row
-    that mixes numbers and labels, quoting, or a character that numpy and
-    float() read differently.
+    that mixes numbers and labels, quoting, a character that numpy and
+    float() read differently, or a line longer than the csv module's field
+    limit (np.loadtxt has none).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if any(c in raw for c in _NUMPY_ONLY_SPACE):
+        return None
+    if _has_line_over(raw, csv.field_size_limit()):
         return None
     skip = 0
     for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig"):
@@ -441,6 +444,17 @@ def _csv_lines_before_data(path: str) -> int | None:
     if any(v is None for v in parsed):
         return None
     return skip
+
+
+def _has_line_over(raw: bytes, limit: int) -> bool:
+    """Whether a line of `raw`, ended by LF, CR or the file, exceeds `limit` bytes."""
+    start = 0
+    while len(raw) - start > limit:  # jump to the last line end in the next limit+1 bytes
+        end = start + limit + 1
+        start = max(raw.rfind(b"\n", start, end), raw.rfind(b"\r", start, end)) + 1
+        if not start:  # no line end: a found one would put start past 0
+            return True
+    return False
 
 
 def _load_csv_rows(path: str, clip_input: bool) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Basis evaluation, exact matrices, flat ordering, tensor inversion."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +11,41 @@ from hypothesis import strategies as st
 from bezier_dp import (
     CapacityError,
     DomainError,
+    basis_matrix,
     bernstein_aggregate,
-    bernstein_eval,
     bezier_inverse,
     bezier_matrix,
-    flat_index,
     multi_indices,
-    multivariate_bernstein_eval,
     tensor_apply_inverse,
 )
-from bezier_dp.bernstein import MAX_DEGREE, binomial, matrix_multiply, matrix_to_float
+from bezier_dp.bernstein import MAX_DEGREE, binomial, matrix_multiply
+
+# Oracles: the definitions written out one point and one cell at a time.
+
+
+def bernstein_eval(k: int, j: int, x: float) -> float:
+    """B_j(x) of degree k by `pow`."""
+    return binomial(k, j) * x**j * (1.0 - x) ** (k - j)
+
+
+def multivariate_bernstein_eval(k: int, alpha: tuple[int, ...], z) -> float:
+    """Product over coordinates of B_{alpha_i}(z_i)."""
+    out = 1.0
+    for a, zi in zip(alpha, z, strict=True):
+        out *= bernstein_eval(k, a, float(zi))
+    return out
+
+
+def flat_index(alpha: tuple[int, ...], k: int) -> int:
+    """Position of alpha among d-tuples over {0..k}, last coordinate fastest."""
+    pos = 0
+    for a in alpha:
+        pos = pos * (k + 1) + a
+    return pos
+
+
+def matrix_to_float(mat) -> np.ndarray:
+    return np.array([[float(v) for v in row] for row in mat], dtype=np.float64)
 
 
 def test_binomial_values():
@@ -35,25 +61,49 @@ def test_binomial_values():
 
 def test_bernstein_eval_known_values():
     # degree 2: (1-x)^2, 2x(1-x), x^2
-    assert bernstein_eval(2, 0, 0.0) == 1.0
-    assert bernstein_eval(2, 1, 0.5) == 0.5
-    assert bernstein_eval(2, 2, 1.0) == 1.0
-    assert bernstein_eval(2, 1, 0.25) == 2 * 0.25 * 0.75
-    assert bernstein_eval(3, 0, 0.0) == 1.0  # 0^0 convention at the endpoint
-    assert bernstein_eval(3, 3, 0.25) == 0.25**3
+    got = basis_matrix(2, [0.0, 0.5, 1.0, 0.25])
+    assert got.tolist() == [
+        [1.0, 0.0, 0.0],
+        [0.25, 0.5, 0.25],
+        [0.0, 0.0, 1.0],
+        [0.5625, 2 * 0.25 * 0.75, 0.0625],
+    ]
+    assert basis_matrix(3, [0.0])[0, 0] == 1.0  # 0^0 convention at the endpoint
+    assert basis_matrix(3, [0.25])[0, 3] == 0.25**3
+    assert basis_matrix(2, np.zeros((4, 0, 5))).shape == (4, 0, 5, 3)
 
 
 def test_bernstein_eval_domain():
     with pytest.raises(DomainError):
-        bernstein_eval(2, 1, 1.5)
+        basis_matrix(0, [0.5])
     with pytest.raises(DomainError):
-        bernstein_eval(2, 3, 0.5)
-    with pytest.raises(DomainError):
-        bernstein_eval(0, 0, 0.5)
-    with pytest.raises(DomainError):
-        bernstein_eval(2, 1.5, 0.5)
+        basis_matrix(1.5, [0.5])
     with pytest.raises(CapacityError):
-        bernstein_eval(MAX_DEGREE + 1, 0, 0.5)
+        basis_matrix(MAX_DEGREE + 1, [0.5])
+
+
+def test_kernel_matches_exact_oracle():
+    # Without underflow an entry carries at most 2k+1 roundings, so it lies
+    # within (2k+3) u of C(k,j) x^j (1-x)^(k-j) taken exactly at the float
+    # x (u = 2^-53).  Underflow adds at most 2^-1075 in each of at most k
+    # multiplications, later scaled by at most C(k, j): the allowance
+    # k C(k, j) 2^-1074.  At x = 2^-1074 the exact x^j, j >= 2, is itself
+    # below every subnormal.  With x = p/q the check runs in integers:
+    # exact = C p^j (q-p)^(k-j) / q^k.
+    rng = np.random.default_rng(11)
+    points = [0.0, 1.0, 2.0**-1074, 0.5, 1.0 - 2.0**-53, *rng.random(3)]
+    for x in points:
+        p, q = x.as_integer_ratio()
+        for k in range(1, MAX_DEGREE + 1):
+            got = basis_matrix(k, [x])[0]
+            den = q**k
+            for j, g in enumerate(got.tolist()):
+                c = binomial(k, j)
+                exact = c * p**j * (q - p) ** (k - j)
+                gn, gd = g.as_integer_ratio()
+                err = abs(gn * den - exact * gd) << 1127
+                tol = gd * (((2 * k + 3) * exact << 1074) + ((k * c * den) << 53))
+                assert err <= tol, (k, j, x)
 
 
 @given(
@@ -62,8 +112,7 @@ def test_bernstein_eval_domain():
 )
 @settings(max_examples=200, deadline=None)
 def test_partition_of_unity(k, x):
-    total = sum(bernstein_eval(k, j, x) for j in range(k + 1))
-    assert abs(total - 1.0) <= 1e-12
+    assert abs(basis_matrix(k, [x]).sum() - 1.0) <= 1e-12
 
 
 @given(
@@ -72,8 +121,7 @@ def test_partition_of_unity(k, x):
 )
 @settings(max_examples=100, deadline=None)
 def test_basis_nonnegative(k, x):
-    for j in range(k + 1):
-        assert bernstein_eval(k, j, x) >= 0.0
+    assert np.all(basis_matrix(k, [x]) >= 0.0)
 
 
 def test_matrix_inverse_exact_small_degrees():
@@ -121,16 +169,17 @@ def test_multi_index_order_and_flat_index():
     assert len(idx) == 9
     for pos, alpha in enumerate(idx):
         assert flat_index(alpha, 2) == pos
-    with pytest.raises(DomainError):
-        flat_index((3, 0), 2)
+    assert multi_indices(3, 3)[flat_index((2, 0, 3), 3)] == (2, 0, 3)
 
 
 def test_multivariate_eval_is_product():
-    z = (0.3, 0.8)
-    val = multivariate_bernstein_eval(2, (1, 2), z)
-    assert val == pytest.approx(bernstein_eval(2, 1, 0.3) * bernstein_eval(2, 2, 0.8))
-    with pytest.raises(DomainError):
-        multivariate_bernstein_eval(2, (1, 2), (0.5,))
+    # one record's aggregate is its tensor-product basis vector, cell by cell
+    k, z = 3, (0.3, 0.8, 0.55)
+    agg = bernstein_aggregate(np.array([z]), k)
+    for alpha in multi_indices(k, 3):
+        assert agg[flat_index(alpha, k)] == pytest.approx(
+            multivariate_bernstein_eval(k, alpha, z), rel=1e-14, abs=1e-300
+        )
 
 
 def test_aggregate_partition_of_unity():
@@ -152,6 +201,33 @@ def test_aggregate_empty_and_chunking():
     agg = bernstein_aggregate(vals, 2)
     ref = bernstein_aggregate(vals[:65536], 2) + bernstein_aggregate(vals[65536:], 2)
     assert np.max(np.abs(agg - ref)) < 1e-7
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_aggregate_of_a_dataset_does_not_depend_on_its_block(lead):
+    rng = np.random.default_rng(12)
+    for k, d in ((1, 1), (3, 2), (2, 3)):
+        block = rng.random((*lead, 41, d))
+        got = bernstein_aggregate(block, k)
+        assert got.shape == (*lead, (k + 1) ** d)
+        for i in np.ndindex(*lead):
+            alone = bernstein_aggregate(block[i], k)
+            assert alone.tobytes() == got[i].tobytes(), (k, d, i)
+
+
+def test_aggregate_working_set_is_bounded():
+    # 3721 cells: summing all 20000 basis vectors at once would need
+    # 20000 * 3721 * 8 B = 595 MB; chunks of 2^22 // 3721 records need ~35 MB.
+    vals = np.random.default_rng(13).random((20000, 2))
+    tracemalloc.start()
+    try:
+        got = bernstein_aggregate(vals, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    ref = sum(bernstein_aggregate(vals[i : i + 1000], 60) for i in range(0, 20000, 1000))
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)) < 1e-9
 
 
 def test_tensor_apply_inverse_matches_kron():

@@ -1,5 +1,7 @@
 """CSV loader: the np.loadtxt fast path against the row-by-row parser."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ _ODD_CELLS = (
     "", " ", "x", "#", "0.1 # c", "# 0.1", '"0.1"', '" 0.1"', '"0.1,0.2"', '"x"', "0.1_0",
     "1_0", "inf", "-inf", "nan", "NaN", "Infinity", "1e400", "1.5", "-0.25", "2", "0x1p-1",
     "١", "\x1c0.1", "0.1\x1f", "\xa00.3", "0.3\x00", "\ufeff0.1", "0.1\x0b",
+    "0." + "1" * 200_000,  # longer than the csv module's field limit
 )
 _ODD_CELL = st.one_of(st.sampled_from(_ODD_CELLS), st.text("0123456789.,e-+ x#\"\t\x1c", max_size=4))
 _BLANK = st.sampled_from(["", " ", "\t", ",", " , ", ",,", '""'])
@@ -88,8 +91,15 @@ def test_odd_cells_agree_with_row_parser(csv_path, clip_input):
             csv_path.write_bytes(template.format(c=cell).encode("utf-8"))
             got = _outcome(load_csv_dataset, str(csv_path), clip_input)
             assert got == _outcome(harness._load_csv_rows, str(csv_path), clip_input), (
-                template.format(c=cell)
+                template.format(c=cell)[:80]
             )
+
+
+@given(raw=st.lists(st.sampled_from([b"a", b"\n", b"\r"]), max_size=40).map(b"".join),
+       limit=st.integers(1, 12))
+def test_long_line_scan_matches_split(raw, limit):
+    longest = max(len(line) for line in re.split(rb"\r|\n", raw))
+    assert harness._has_line_over(raw, limit) == (longest > limit)
 
 
 def test_well_formed_file_skips_row_parser(tmp_path, monkeypatch):
