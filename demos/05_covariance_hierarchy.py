@@ -14,18 +14,19 @@ That is roughly 100 : 16 : 1 at every epsilon.  The demo measures all three
 on the same fixed dataset and compares with the analytic predictions.
 """
 
+import numpy as np
+
 import bezier_dp as bd
 from bezier_dp.noise import derive_seed
 
 
 def mc_normalized(mechanism_id, data, eps, trials, seed):
+    """n^2 * mean squared error over `trials` releases, drawn as one block."""
     prep = bd.prepare(mechanism_id, data)
     src = bd.NoiseSource.seeded(seed)
-    total = 0.0
-    for _ in range(trials):
-        err = prep.run_value(eps, src) - prep.exact_value
-        total += err * err
-    return data.n**2 * total / trials
+    noise = src.laplace_vector(prep.scale(eps), trials * prep.cells)
+    err = prep.kernel(noise.reshape(trials, prep.cells)) - prep.exact_value
+    return data.n**2 * float(np.sum(err * err)) / trials
 
 
 def main():

@@ -22,9 +22,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UndefinedStatisticError
+from .errors import DomainError
 from .noise import derive_seed, derive_seeds, uniforms01_rows
-from .stats import COVARIANCE_RANGE, VARIANCE_RANGE, Dataset, ratio_covariance, ratio_variance
+from .stats import (
+    Dataset,
+    covariances,
+    unnormalized_covariances,
+    unnormalized_variances,
+    variances,
+)
 from .bernstein import bernstein_aggregate
 
 MODELS = ("add-remove", "swap")
@@ -146,10 +152,11 @@ def empirical_sensitivity(
     """Sample neighbor pairs and track the extremes of the map's L1 difference.
 
     Trial t audits the pair of base size ``sizes[t % len(sizes)]`` drawn
-    from seed ``derive_seed(seed, t, 0)``.  A map with a block form
-    (``map_fn.block``, as every built-in map has) is evaluated on all pairs
-    of one size at a time; any other callable runs once per dataset.  The
-    argmax is the first trial with the largest L1 difference.
+    from seed ``derive_seed(seed, t, 0)``.  The pairs of one size are
+    generated as one block and mapped by the map's block form
+    (``map_fn.block``, as every built-in map has); any other callable runs
+    once per dataset of the block.  The argmax is the first trial with the
+    largest L1 difference.
     """
     if model not in MODELS:
         raise DomainError(f"model must be one of {MODELS}, got {model!r}")
@@ -163,22 +170,14 @@ def empirical_sensitivity(
             raise DomainError(f"invalid size {s} for model {model!r}")
     ns = np.resize(np.array(sizes), trials)  # base size of each trial
     l1 = np.empty(trials)
-    block = getattr(map_fn, "block", None)
-    if block is None:
-        for t in range(trials):
-            pair = random_neighbor_pair(int(ns[t]), d, model, derive_seed(seed, t, 0))
-            diff = np.asarray(map_fn(pair.extended), dtype=np.float64) - np.asarray(
-                map_fn(pair.base), dtype=np.float64
-            )
-            l1[t] = np.sum(np.abs(diff))
-    else:
-        for n in dict.fromkeys(sizes):
-            ts = np.flatnonzero(ns == n)
-            step = max(1, _BLOCK_RECORDS // (2 * n + 1))
-            for lo in range(0, ts.size, step):
-                t = ts[lo : lo + step]
-                base, ext = neighbor_pair_block(n, d, model, derive_seeds(seed, t, 0))
-                l1[t] = np.sum(np.abs(block(ext) - block(base)), axis=-1)
+    block = getattr(map_fn, "block", None) or _per_dataset(map_fn, d)
+    for n in dict.fromkeys(sizes):
+        ts = np.flatnonzero(ns == n)
+        step = max(1, _BLOCK_RECORDS // (2 * n + 1))
+        for lo in range(0, ts.size, step):
+            t = ts[lo : lo + step]
+            base, ext = neighbor_pair_block(n, d, model, derive_seeds(seed, t, 0))
+            l1[t] = np.sum(np.abs(block(ext) - block(base)), axis=-1)
     top = int(np.argmax(l1))
     return SensitivityReport(
         map_name=map_name,
@@ -191,58 +190,40 @@ def empirical_sensitivity(
     )
 
 
+def _per_dataset(map_fn: Callable[[Dataset], np.ndarray], d: int):
+    """Block form of a map without one: the map on each dataset in turn."""
+
+    def block(values: np.ndarray) -> np.ndarray:
+        rows = [np.asarray(map_fn(Dataset(v, d=d)), dtype=np.float64) for v in values]
+        return np.stack([r.reshape(-1) for r in rows])
+
+    return block
+
+
 # -- ready-made maps --------------------------------------------------------
 #
 # Each map's `block` attribute is its form on (pairs, n, d) record blocks,
-# returning (pairs, m); the map itself is the one-row case.  The variance and
-# covariance forms repeat the float operations of `stats`: sums along the
-# records of one dataset, the shared ratio kernels, then the clamp.  Neither
-# ratio can be -0.0, so `np.clip` clamps as `stats.clip` does, and the forms
-# reproduce `variance_exact`/`covariance_exact` bit for bit.
-
-
-def _require_dim(values: np.ndarray, d: int, what: str) -> None:
-    if values.shape[-1] != d:
-        raise DomainError(f"{what} needs d={d} data, got d={values.shape[-1]}")
-
-
-def _variance_block(values: np.ndarray) -> np.ndarray:
-    """[`variance_exact`] of each dataset in a (pairs, n, 1) block."""
-    _require_dim(values, 1, "variance")
-    n = values.shape[-2]
-    if n < 1:
-        raise UndefinedStatisticError("variance is undefined for an empty dataset")
-    x = values[..., 0]
-    v = ratio_variance(float(n), x.sum(axis=-1), (x * x).sum(axis=-1))
-    return np.clip(v, *VARIANCE_RANGE)[..., None]
-
-
-def _covariance_block(values: np.ndarray) -> np.ndarray:
-    """[`covariance_exact`] of each dataset in a (pairs, n, 2) block."""
-    _require_dim(values, 2, "covariance")
-    n = values.shape[-2]
-    if n < 1:
-        raise UndefinedStatisticError("covariance is undefined for an empty dataset")
-    x, y = np.moveaxis(values, -1, 0).copy()  # each column contiguous
-    c = ratio_covariance(float(n), x.sum(axis=-1), y.sum(axis=-1), (x * y).sum(axis=-1))
-    return np.clip(c, *COVARIANCE_RANGE)[..., None]
-
-
-def _unnormalized(values: np.ndarray, block, d: int, what: str) -> np.ndarray:
-    """n times `block(values)`, and 0 for empty datasets, as in `stats`."""
-    _require_dim(values, d, what)
-    n = values.shape[-2]
-    if n == 0:
-        return np.zeros(values.shape[:-2] + (1,))
-    return n * block(values)
+# returning (pairs, m); the map itself is the one-row case.  The variance
+# and covariance maps are the `stats` kernels themselves (`variances`,
+# `covariances` and their unnormalized forms) with the value as a
+# length-1 vector, so they are `variance_exact`/`covariance_exact` by
+# construction.
 
 
 def _uvar_block(values: np.ndarray) -> np.ndarray:
-    return _unnormalized(values, _variance_block, 1, "unnormalized variance")
+    return unnormalized_variances(values)[..., None]
 
 
 def _ucov_block(values: np.ndarray) -> np.ndarray:
-    return _unnormalized(values, _covariance_block, 2, "unnormalized covariance")
+    return unnormalized_covariances(values)[..., None]
+
+
+def _svar_block(values: np.ndarray) -> np.ndarray:
+    return variances(values)[..., None]
+
+
+def _scov_block(values: np.ndarray) -> np.ndarray:
+    return covariances(values)[..., None]
 
 
 def _transformed_block(values: np.ndarray) -> np.ndarray:
@@ -280,19 +261,19 @@ def transformed_pair_map(data: Dataset) -> np.ndarray:
 
 def swap_variance_map(data: Dataset) -> np.ndarray:
     """Dataset -> [variance]; swap-model sensitivity is claimed <= 1/n."""
-    return _variance_block(data.values[None])[0]
+    return _svar_block(data.values[None])[0]
 
 
 def swap_covariance_map(data: Dataset) -> np.ndarray:
     """Dataset -> [covariance]; swap-model sensitivity is claimed <= 1/n."""
-    return _covariance_block(data.values[None])[0]
+    return _scov_block(data.values[None])[0]
 
 
 unnormalized_variance_map.block = _uvar_block
 unnormalized_covariance_map.block = _ucov_block
 transformed_pair_map.block = _transformed_block
-swap_variance_map.block = _variance_block
-swap_covariance_map.block = _covariance_block
+swap_variance_map.block = _svar_block
+swap_covariance_map.block = _scov_block
 
 
 def builtin_maps() -> dict[str, dict]:

@@ -660,9 +660,11 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
     else:
 
         def work(block):
-            for t in range(*block):
+            trial_ids = np.arange(*block, dtype=np.uint64)
+            seeds = derive_seeds(cfg.base_seed, trial_ids, DATA_CHANNEL)
+            for t, data_seed in zip(range(*block), seeds):
                 if t > 0:
-                    data_t = generate_dataset(cfg, derive_seed(cfg.base_seed, t, DATA_CHANNEL))
+                    data_t = generate_dataset(cfg, int(data_seed))
                 for ch, m in enumerate(mechs):
                     p = prepared[ch] if t == 0 else prepare(m, data_t, **kw)
                     if p.exact_value is None:

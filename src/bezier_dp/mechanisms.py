@@ -50,7 +50,7 @@ value at zero noise, which is all a first-order error prediction needs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -59,7 +59,7 @@ import numpy as np
 
 from .bernstein import _check_dims, bernstein_aggregate, multi_indices, tensor_apply_inverse
 from .errors import DomainError, UndefinedStatisticError
-from .noise import NoiseSource
+from .noise import NoiseSource, check_finite_positive
 from .stats import (
     CENTERED_FOURTH_RANGE,
     CENTERED_THIRD_RANGE,
@@ -69,9 +69,11 @@ from .stats import (
     ClipRange,
     Dataset,
     centered_moment_exact,
+    clamp,
     correlation_exact,
     covariance_exact,
     moments_unnormalized,
+    power_sums,
     ratio_covariance,
     ratio_variance,
     standardized_moment,
@@ -169,8 +171,12 @@ class PreparedMechanism:
         return self.spec.clip
 
     def scale(self, eps: float) -> float:
-        """Laplace scale b of every cell at budget eps."""
-        return self.spec.c / (check_epsilon(eps) / self.spec.split)
+        """Laplace scale b of every cell at budget eps; DomainError if b overflows."""
+        share = check_epsilon(eps) / self.spec.split
+        b = self.spec.c / share if share > 0.0 else math.inf
+        if b == math.inf:
+            raise DomainError(f"epsilon {eps} is too small: {self.mechanism_id} scale overflows")
+        return b
 
     def kernel(self, noise):
         """Released values for noise rows of shape (..., cells)."""
@@ -203,7 +209,7 @@ class PreparedMechanism:
             zc = _cells_first(z)
             x = [s[i] + zc[i] for i in range(self.cells)]
         raw = spec.post(s, x)
-        return (raw if spec.clip is None else _clip(raw, spec.clip)), raw, x
+        return (raw if spec.clip is None else clamp(raw, spec.clip)), raw, x
 
     def _trail(self, z, raw, x) -> dict:
         """Noisy basis cells M s + z, then the record's named quantities."""
@@ -267,10 +273,7 @@ def _cells_first(a):
 
 def check_epsilon(eps) -> float:
     """eps as a float; DomainError unless it is finite and positive."""
-    eps = float(eps)
-    if not 0.0 < eps < np.inf:
-        raise DomainError(f"epsilon must be finite and > 0, got {eps}")
-    return eps
+    return check_finite_positive(eps, "epsilon")
 
 
 def _try_exact(fn, data):
@@ -278,11 +281,6 @@ def _try_exact(fn, data):
         return fn(data)
     except UndefinedStatisticError:
         return None
-
-
-def _clip(x, rng: ClipRange):
-    # np.minimum/np.maximum: np.clip's semantics at half its call overhead
-    return np.minimum(np.maximum(x, rng.lo), rng.hi)
 
 
 def _mid(rng: ClipRange) -> float:
@@ -325,36 +323,6 @@ def _keys(names: str, order=None) -> tuple:
 # ---------------------------------------------------------------------------
 # sums and post-processing kernels
 # ---------------------------------------------------------------------------
-
-def _power_sums(data: Dataset, k: int, cells=None) -> np.ndarray:
-    """Exact mixed power sums in `multi_indices(k, d)` order (entry 0: count).
-
-    `cells` picks flat indices of that order (default: all).  One column:
-    `moments_unnormalized`.  Several: the powers x, x*x, ... of each column
-    multiplied left to right and summed, so k=1, d=2 gives (n, sum y,
-    sum x, sum x*y) with exactly the operations of `covariance_exact`.
-    """
-    if data.d == 1:
-        return moments_unnormalized(data, k)
-    powers = []
-    for col in range(data.d):
-        cur = [data.column(col)]
-        for _ in range(1, k):
-            cur.append(cur[-1] * cur[0])
-        powers.append(cur)
-    alphas = list(itertools.product(range(k + 1), repeat=data.d))
-    out = []
-    for i in range(len(alphas)) if cells is None else cells:
-        terms = [powers[col][a - 1] for col, a in enumerate(alphas[i]) if a]
-        if not terms:
-            out.append(float(data.n))
-            continue
-        prod = terms[0]
-        for t in terms[1:]:
-            prod = prod * t
-        out.append(np.sum(prod))
-    return np.array(out)
-
 
 def _ratio_post(ratio, idx, fallback: float):
     """post(s, mu) = ratio(count, *sums) of the noisy sums mu[i], i in idx
@@ -479,7 +447,7 @@ def basis_spec(k: int, d: int, **fields) -> Spec:
     k, d = _check_dims(k, d)
     defaults = {
         "d": d,
-        "sums": lambda data, exact: _power_sums(data, k),
+        "sums": lambda data, exact: power_sums(data.values, k),
         "basis_cells": lambda data, s: bernstein_aggregate(data.values, k),
         "keys": tuple((_agg_key("mu", a), i) for i, a in enumerate(multi_indices(k, d))),
     }
@@ -548,7 +516,7 @@ _CORRELATION_COMPOSED = Spec(
 # cells: count, sum x, sum y, sum x^2, sum y^2, sum xy
 _CORRELATION_NAIVE = Spec(
     "correlation_naive", "correlation", 2, family="naive", cells=6, c=6.0,
-    sums=lambda data, exact: _power_sums(data, 2, _BASIS_CORR),
+    sums=lambda data, exact: power_sums(data.values, 2, _BASIS_CORR),
     post=_ratio_post(_correlation_ratio, range(6), 0.0),
     keys=_keys("n~ s_x~ s_y~ s_x2~ s_y2~ s_xy~"), clip=CORRELATION_RANGE,
     exact=correlation_exact,
@@ -586,7 +554,7 @@ REGISTRY: dict[str, Spec] = {
         # cells: count, sum x, sum y, sum xy
         Spec(
             "naive_covariance", "covariance", 2, family="naive", aliases=("naive_cov",), cells=4,
-            c=4.0, sums=lambda data, exact: _power_sums(data, 1, _BASIS_COV),
+            c=4.0, sums=lambda data, exact: power_sums(data.values, 1, _BASIS_COV),
             post=_ratio_post(ratio_covariance, range(4), 0.0), keys=_keys("n~ s_x~ s_y~ s_xy~"),
             clip=COVARIANCE_RANGE, exact=covariance_exact,
         ),

@@ -5,6 +5,11 @@ clamped to their attainable ranges (variance in [0, 1/4], covariance in
 [-1/4, 1/4], correlation in [-1, 1]) so that downstream comparisons never
 see a value that float rounding pushed out of range.
 
+The power sums, variance and covariance are computed once, by kernels on
+(..., n, d) blocks of equally sized datasets (`power_sums`, `variances`,
+`covariances` and their unnormalized forms); the per-dataset functions and
+the audit maps' block forms are calls of the same kernels.
+
 The ratio kernels `ratio_variance` / `ratio_covariance` are shared verbatim
 with the private mechanisms: running a mechanism with a zero noise source
 reproduces the exact statistic bit for bit because both sides execute the
@@ -13,6 +18,7 @@ same float operations on the same aggregates.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +36,11 @@ COVARIANCE_RANGE = ClipRange(-0.25, 0.25)
 CORRELATION_RANGE = ClipRange(-1.0, 1.0)
 CENTERED_THIRD_RANGE = ClipRange(-0.25, 0.25)
 CENTERED_FOURTH_RANGE = ClipRange(0.0, 0.25)
+
+
+def clamp(x, rng: ClipRange):
+    """`np.clip` of an array or numpy scalar into rng, at half its call overhead."""
+    return np.minimum(np.maximum(x, rng.lo), rng.hi)
 
 
 def clip(x: float, rng: ClipRange) -> float:
@@ -86,29 +97,9 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d})"
 
 
-def _require_dim(data: Dataset, d: int, what: str) -> None:
-    if data.d != d:
-        raise DomainError(f"{what} needs d={d} data, got d={data.d}")
-
-
-def power_sums(xs: np.ndarray, k: int) -> np.ndarray:
-    """[n, sum x, sum x^2, ..., sum x^k] as float64 (entry 0 is the count)."""
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty(k + 1, dtype=np.float64)
-    out[0] = float(xs.shape[0])
-    p = np.ones_like(xs)
-    for j in range(1, k + 1):
-        p = p * xs
-        out[j] = np.sum(p)
-    return out
-
-
-def moments_unnormalized(data: Dataset, k: int) -> np.ndarray:
-    """Unnormalized power sums (count, sum x, ..., sum x^k) of a d=1 dataset."""
-    _require_dim(data, 1, "moments_unnormalized")
-    return power_sums(data.column(0), k)
+def _require_dim(values: np.ndarray, d: int, what: str) -> None:
+    if values.shape[-1] != d:
+        raise DomainError(f"{what} needs d={d} data, got d={values.shape[-1]}")
 
 
 def ratio_variance(count: float, sum_x: float, sum_sq: float) -> float:
@@ -124,68 +115,154 @@ def ratio_covariance(count: float, sum_x: float, sum_y: float, sum_xy: float) ->
     return sum_xy / count - mx * my
 
 
+# -- kernels on (..., n, d) record blocks -------------------------------------
+#
+# Each kernel maps a block of equally sized datasets, shape (..., n, d), to
+# one value per dataset; the per-dataset functions below are its one-row
+# case.  Sums run along the records of one dataset, so a dataset's value
+# does not depend on the block it is computed in.
+
+
+def power_sums(values: np.ndarray, k: int, cells=None) -> np.ndarray:
+    """Exact mixed power sums of (..., n, d) records, shape (..., cells).
+
+    Entry i is the sum over records of the product of x_c ** alpha_c, for
+    the i-th alpha of `itertools.product(range(k + 1), repeat=d)` (the order
+    of `bernstein.multi_indices`); entry 0 is the count n.  `cells` picks
+    entries (default: all).  The powers x, x*x, (x*x)*x, ... of each column
+    are multiplied left to right and summed along the records, so k=1, d=2
+    gives (n, sum y, sum x, sum x*y) with the operations of `covariances`.
+    """
+    if k < 0:
+        raise DomainError(f"order must be >= 0, got {k}")
+    values = np.asarray(values, dtype=np.float64)
+    n, d = values.shape[-2:]
+    powers = []
+    for col in _columns(values):
+        cur = [col]
+        for _ in range(1, k):
+            cur.append(cur[-1] * col)
+        powers.append(cur)
+    alphas = list(itertools.product(range(k + 1), repeat=d))
+    picked = range(len(alphas)) if cells is None else cells
+    out = np.empty(values.shape[:-2] + (len(picked),))
+    for j, i in enumerate(picked):
+        terms = [powers[col][a - 1] for col, a in enumerate(alphas[i]) if a]
+        if not terms:
+            out[..., j] = n
+            continue
+        prod = terms[0]
+        for t in terms[1:]:
+            prod = prod * t
+        out[..., j] = prod.sum(axis=-1)
+    return out
+
+
+def _columns(values: np.ndarray) -> np.ndarray:
+    """(d, ..., n): each column of (..., n, d) records.
+
+    A block is copied so that every dataset's column is contiguous: numpy
+    may reorder a sum over strided rows across datasets.  One dataset's
+    strided columns sum to the same bits and are not copied.
+    """
+    cols = values.transpose(-1, *range(values.ndim - 1))
+    return cols.copy() if values.ndim > 2 else cols
+
+
+def variances(values: np.ndarray) -> np.ndarray:
+    """Population variance of each dataset in a (..., n, 1) block, clamped."""
+    _require_dim(values, 1, "variance")
+    n = values.shape[-2]
+    if n < 1:
+        raise UndefinedStatisticError("variance is undefined for an empty dataset")
+    x = values[..., 0]
+    v = ratio_variance(float(n), x.sum(axis=-1), (x * x).sum(axis=-1))
+    return clamp(v, VARIANCE_RANGE)
+
+
+def covariances(values: np.ndarray) -> np.ndarray:
+    """Population covariance of each dataset in a (..., n, 2) block, clamped."""
+    _require_dim(values, 2, "covariance")
+    n = values.shape[-2]
+    if n < 1:
+        raise UndefinedStatisticError("covariance is undefined for an empty dataset")
+    x, y = _columns(values)
+    c = ratio_covariance(float(n), x.sum(axis=-1), y.sum(axis=-1), (x * y).sum(axis=-1))
+    return clamp(c, COVARIANCE_RANGE)
+
+
+def _unnormalized(values: np.ndarray, kernel, d: int, what: str) -> np.ndarray:
+    """n times `kernel(values)`, and 0 for empty datasets."""
+    _require_dim(values, d, what)
+    n = values.shape[-2]
+    if n == 0:
+        return np.zeros(values.shape[:-2])
+    return n * kernel(values)
+
+
+def unnormalized_variances(values: np.ndarray) -> np.ndarray:
+    """n times `variances`; 0 for empty datasets."""
+    return _unnormalized(values, variances, 1, "unnormalized variance")
+
+
+def unnormalized_covariances(values: np.ndarray) -> np.ndarray:
+    """n times `covariances`; 0 for empty datasets."""
+    return _unnormalized(values, covariances, 2, "unnormalized covariance")
+
+
+def moments_unnormalized(data: Dataset, k: int) -> np.ndarray:
+    """Unnormalized power sums (count, sum x, ..., sum x^k) of a d=1 dataset."""
+    _require_dim(data.values, 1, "moments_unnormalized")
+    return power_sums(data.values, k)
+
+
 def variance_exact(data: Dataset) -> float:
     """Population variance of a d=1 dataset, clamped to [0, 1/4]."""
-    _require_dim(data, 1, "variance")
-    if data.n < 1:
-        raise UndefinedStatisticError("variance is undefined for an empty dataset")
-    s = power_sums(data.column(0), 2)
-    return clip(ratio_variance(s[0], s[1], s[2]), VARIANCE_RANGE)
+    return float(variances(data.values))
 
 
 def covariance_exact(data: Dataset) -> float:
     """Population covariance of a d=2 dataset, clamped to [-1/4, 1/4]."""
-    _require_dim(data, 2, "covariance")
-    if data.n < 1:
-        raise UndefinedStatisticError("covariance is undefined for an empty dataset")
-    x, y = data.column(0), data.column(1)
-    n = float(data.n)
-    return clip(
-        ratio_covariance(n, np.sum(x), np.sum(y), np.sum(x * y)), COVARIANCE_RANGE
-    )
+    return float(covariances(data.values))
 
 
 def unnormalized_variance(data: Dataset) -> float:
     """n times the population variance; 0 for an empty dataset."""
-    _require_dim(data, 1, "unnormalized variance")
-    if data.n == 0:
-        return 0.0
-    return data.n * variance_exact(data)
+    return float(unnormalized_variances(data.values))
 
 
 def unnormalized_covariance(data: Dataset) -> float:
     """n times the population covariance; 0 for an empty dataset."""
-    _require_dim(data, 2, "unnormalized covariance")
-    if data.n == 0:
-        return 0.0
-    return data.n * covariance_exact(data)
+    return float(unnormalized_covariances(data.values))
 
 
 def correlation_exact(data: Dataset) -> float:
     """Pearson correlation of a d=2 dataset, clamped to [-1, 1]."""
-    _require_dim(data, 2, "correlation")
+    _require_dim(data.values, 2, "correlation")
     if data.n < 1:
         raise UndefinedStatisticError("correlation is undefined for an empty dataset")
-    vx = variance_exact(data.univariate(0))
-    vy = variance_exact(data.univariate(1))
+    vx, vy = (variances(data.values[:, i : i + 1]) for i in (0, 1))
     if vx <= 0.0 or vy <= 0.0:
         raise UndefinedStatisticError(
             "correlation is undefined when a marginal variance is zero"
         )
-    c = covariance_exact(data)
-    return clip(c / np.sqrt(vx * vy), CORRELATION_RANGE)
+    return clip(covariances(data.values) / np.sqrt(vx * vy), CORRELATION_RANGE)
+
+
+def _centered(data: Dataset, order: int, what: str) -> np.ndarray:
+    """The records of a d=1 dataset minus their mean, for a moment of `order`."""
+    if order not in (3, 4):
+        raise DomainError(f"{what} supports order 3 or 4, got {order}")
+    _require_dim(data.values, 1, what)
+    if data.n < 1:
+        raise UndefinedStatisticError(f"{what} needs a nonempty dataset")
+    x = data.column(0)
+    return x - float(np.mean(x))
 
 
 def standardized_moment(data: Dataset, order: int) -> float:
     """Skewness (order=3) or excess-free kurtosis (order=4) of a d=1 dataset."""
-    if order not in (3, 4):
-        raise DomainError(f"standardized moment supports order 3 or 4, got {order}")
-    _require_dim(data, 1, "standardized moment")
-    if data.n < 1:
-        raise UndefinedStatisticError("standardized moment needs a nonempty dataset")
-    x = data.column(0)
-    m = float(np.mean(x))
-    c = x - m
+    c = _centered(data, order, "standardized moment")
     v = float(np.mean(c * c))
     if v <= 0.0:
         raise UndefinedStatisticError(
@@ -198,13 +275,7 @@ def standardized_moment(data: Dataset, order: int) -> float:
 
 def centered_moment_exact(data: Dataset, order: int) -> float:
     """Central moment E[(x - mean)^order] for order 3 or 4, clamped."""
-    if order not in (3, 4):
-        raise DomainError(f"centered moment supports order 3 or 4, got {order}")
-    _require_dim(data, 1, "centered moment")
-    if data.n < 1:
-        raise UndefinedStatisticError("centered moment needs a nonempty dataset")
-    x = data.column(0)
-    c = x - float(np.mean(x))
+    c = _centered(data, order, "centered moment")
     rng = CENTERED_THIRD_RANGE if order == 3 else CENTERED_FOURTH_RANGE
     return clip(float(np.mean(c**order)), rng)
 

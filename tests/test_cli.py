@@ -75,6 +75,17 @@ def test_estimate_flags_reproducible_noise_as_not_private(data_csv, capsys):
         assert re.match(r"^mechanism=\S+ epsilon=\S+ value=\S+ clip=(.*)$", first)
 
 
+@pytest.mark.parametrize("mechanism", ["bezier", "swap", "naive", "transformed"])
+def test_estimate_rejects_an_epsilon_whose_scale_overflows(mechanism, data_csv, capsys):
+    # a positive, finite, denormal epsilon: 1/eps is inf, so no release
+    rc = main(["estimate", "--data", data_csv, "--mechanism", mechanism,
+               "--epsilon", "5e-324", "--seed", "1"])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "value=" not in captured.out
+    assert "too small" in captured.err
+
+
 def test_estimate_show_aggregates(pair_csv, capsys):
     rc = main(
         ["estimate", "--data", pair_csv, "--mechanism", "bezier_cov",
@@ -193,6 +204,16 @@ def test_benchmark_inline_flags(capsys):
     assert len(lines) == 5  # header + 2 mechanisms x 2 epsilons
     assert any(line.startswith("bezier_variance") for line in lines)
     assert any(line.startswith("swap_variance") for line in lines)
+
+
+def test_benchmark_rejects_an_epsilon_whose_scale_overflows(capsys):
+    for extra in ([], ["--noise", "zero"], ["--fresh-data"]):
+        rc = main(["benchmark", "--mechanisms", "bezier,swap", "--epsilons", "1,5e-324",
+                   "--n", "20", "--trials", "3", *extra])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too small" in captured.err
 
 
 def test_benchmark_config_file_with_override(tmp_path, capsys):

@@ -524,6 +524,19 @@ def test_kernel_rejects_wrong_cell_count():
     assert prepare("correlation_composed", PAIRS3).scale(0.3) == 1.0 / (0.3 / 3.0)
 
 
+def test_scale_rejects_an_epsilon_too_small_for_a_finite_scale():
+    # 5e-324 is positive and finite, but 1/eps overflows and eps/3 underflows
+    for mid, data in (("bezier_variance", X3), ("swap_variance", X3),
+                      ("correlation_composed", PAIRS3)):
+        prep = prepare(mid, data)
+        for eps in (5e-324, 1e-310):
+            with pytest.raises(DomainError, match="too small"):
+                prep.scale(eps)
+            with pytest.raises(DomainError):
+                prep.run(eps, NoiseSource.seeded(1))
+        assert math.isfinite(prep.scale(1e-300))
+
+
 # ---------------------------------------------------------------------------
 # privacy smoke test: frequency ratios on neighboring datasets
 # ---------------------------------------------------------------------------

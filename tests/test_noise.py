@@ -16,6 +16,39 @@ from bezier_dp import (
     uniforms01_rows,
 )
 
+# -- pure-Python SplitMix64 oracle ---------------------------------------------
+#
+# An independent, integer-only implementation of the generator and of the
+# substream derivation; the library's block path must match it bit for bit.
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer on a 64-bit integer."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _oracle_bits(seed: int, count: int) -> list[int]:
+    """The first `count` 64-bit outputs of the stream seeded `seed`."""
+    s = seed & _MASK64
+    return [_mix64(s + i * _GAMMA) for i in range(1, count + 1)]
+
+
+def _oracle_uniforms(seed: int, count: int) -> np.ndarray:
+    return np.array([((b >> 11) + 0.5) * 2.0**-53 - 0.5 for b in _oracle_bits(seed, count)])
+
+
+def _oracle_seed(base_seed: int, trial_index: int, channel: int) -> int:
+    h = _mix64((base_seed + _GAMMA) & _MASK64)
+    h = _mix64(h ^ (((trial_index + 1) * _GAMMA) & _MASK64))
+    return _mix64(h ^ (((channel + 1) * 0xC2B2AE3D27D4EB4F) & _MASK64))
+
+
 # Published SplitMix64 output sequence for seed 1234567.
 _REFERENCE_SEED = 1234567
 _REFERENCE_BITS = [
@@ -38,16 +71,28 @@ _LAPLACE_42 = [
 
 
 def test_reference_vector():
-    src = NoiseSource.seeded(_REFERENCE_SEED)
-    assert [int(b) for b in src._bits_vector(5)] == _REFERENCE_BITS
-    src2 = NoiseSource.seeded(_REFERENCE_SEED)
-    assert src2._bits_scalar(5) == _REFERENCE_BITS
+    assert _oracle_bits(_REFERENCE_SEED, 5) == _REFERENCE_BITS
+    got = NoiseSource.seeded(_REFERENCE_SEED).uniforms(5)
+    assert np.array_equal(got, _oracle_uniforms(_REFERENCE_SEED, 5))
 
 
 def test_regression_seed_42():
-    assert NoiseSource.seeded(42)._bits_scalar(3) == _BITS_42
+    assert _oracle_bits(42, 3) == _BITS_42
+    assert np.array_equal(NoiseSource.seeded(42).uniforms(3), _oracle_uniforms(42, 3))
     got = NoiseSource.seeded(42).laplace_vector(1.0, 5)
     assert np.array_equal(got, np.array(_LAPLACE_42))
+
+
+def test_streams_match_oracle_at_every_start():
+    for seed in (0, 7, 2**63 + 5, _MASK64):
+        want = _oracle_uniforms(seed, 40)
+        src = NoiseSource.seeded(seed)
+        got = np.concatenate([src.uniforms(c) for c in (1, 0, 3, 8, 9, 19)])
+        assert np.array_equal(got, want), seed
+        assert np.array_equal(uniforms01_rows([seed, seed], 40), np.stack([want, want]) + 0.5)
+        one_draw = [NoiseSource.seeded(seed).laplace(1.0)]
+        u = want[0]
+        assert one_draw == [float(-np.sign(u) * np.log1p(-2.0 * abs(u)))]
 
 
 def test_scalar_and_vector_paths_identical():
@@ -133,11 +178,38 @@ def test_replay_partial_exhaustion():
 
 
 def test_scale_validation():
-    for src in (NoiseSource.seeded(0), NoiseSource.zero(), NoiseSource.replay([1.0])):
-        with pytest.raises(DomainError):
-            src.laplace(0.0)
-        with pytest.raises(DomainError):
-            src.laplace_vector(-1.0, 2)
+    rows = NoiseRows(np.ones((2, 3)))
+    for src in (NoiseSource.seeded(0), NoiseSource.zero(), NoiseSource.replay([1.0]), rows):
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                src.laplace_vector(bad, 1)
+            if not isinstance(src, NoiseRows):
+                with pytest.raises(DomainError):
+                    src.laplace(bad)
+        assert src.draws == 0
+
+
+def test_counts_and_trial_indices_validation():
+    rows = NoiseRows(np.ones((2, 3)))
+    for src in (NoiseSource.seeded(1), NoiseSource.zero(), NoiseSource.replay([1.0]), rows):
+        for bad in (9.5, -1, "2", None):
+            with pytest.raises(DomainError, match="integer >= 0"):
+                src.laplace_vector(1.0, bad)
+        assert src.draws == 0
+        assert src.laplace_vector(1.0, np.int64(1)).shape[-1] == 1
+    with pytest.raises(DomainError):
+        NoiseSource.seeded(1).uniforms(2.0)
+    with pytest.raises(DomainError):
+        uniforms01_rows([1, 2], 2.5)
+    # trial indices live in [0, 2**64): 2**64 must not wrap onto trial 0
+    last = 2**64 - 1
+    assert derive_seed(0, last, 0) == _oracle_seed(0, last, 0)
+    assert derive_seed(0, np.uint64(last), 3) == _oracle_seed(0, last, 3)
+    for bad in (2**64, -1, 0.0, True, "1"):
+        with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+            derive_seed(0, bad, 0)
+    with pytest.raises(DomainError):
+        derive_seeds(0, [0, 2**64], 0)
 
 
 def test_invalid_kind():
@@ -155,13 +227,14 @@ def test_derive_seed_regression_and_validation():
 
 
 def test_derive_seeds_matches_scalar_reference():
-    trials = np.array([0, 1, 2**32, 2**63], dtype=np.uint64)
+    trials = np.array([0, 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
     for base in (0, -1, 2**64 + 5):
         for channel in (0, 12, DATA_CHANNEL):
             got = derive_seeds(base, trials, channel)
             assert got.dtype == np.uint64
-            want = [derive_seed(base, int(t), channel) for t in trials]
+            want = [_oracle_seed(base, int(t), channel) for t in trials]
             assert [int(v) for v in got] == want, (base, channel)
+            assert [derive_seed(base, int(t), channel) for t in trials] == want
     assert derive_seeds(3, np.arange(0), 1).shape == (0,)
     for bad_trials, bad_channel in (([-1], 0), ([0.5], 0), ([0], -1)):
         with pytest.raises(DomainError):
@@ -177,7 +250,7 @@ def test_laplace_rows_match_per_stream_draws():
         # scaling the unit row reproduces a scaled draw bit for bit
         scaled = NoiseSource.seeded(int(seed)).laplace_vector(0.7, 9)
         assert np.array_equal(unit[i] * 0.7, scaled)
-    # single scalar draws agree too
+    # one draw at a time agrees too
     short = laplace_rows(seeds[:5], 2)
     for i, seed in enumerate(seeds[:5]):
         src = NoiseSource.seeded(int(seed))
@@ -186,7 +259,7 @@ def test_laplace_rows_match_per_stream_draws():
 
 def test_uniforms01_rows_match_per_stream_draws():
     seeds = derive_seeds(5, np.arange(30), 0)
-    for count in (0, 2, 9, 40):  # below and above the scalar cutoff
+    for count in (0, 2, 9, 40):
         rows = uniforms01_rows(seeds, count)
         assert rows.shape == (30, count)
         for i, seed in enumerate(seeds):

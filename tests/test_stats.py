@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bezier_dp import (
     COVARIANCE_RANGE,
@@ -23,7 +24,16 @@ from bezier_dp import (
     unnormalized_variance,
     variance_exact,
 )
-from bezier_dp.stats import centered_moment_exact, power_sums, ratio_covariance, ratio_variance
+from bezier_dp.stats import (
+    centered_moment_exact,
+    covariances,
+    power_sums,
+    ratio_covariance,
+    ratio_variance,
+    unnormalized_covariances,
+    unnormalized_variances,
+    variances,
+)
 
 
 def test_dataset_shapes():
@@ -58,12 +68,32 @@ def test_dataset_immutable():
 
 
 def test_power_sums():
-    x = np.array([0.5, 1.0, 0.0])
+    x = np.array([[0.5], [1.0], [0.0]])
     s = power_sums(x, 3)
     assert np.allclose(s, [3.0, 1.5, 1.25, 1.125])
-    assert power_sums(np.array([]), 2).tolist() == [0.0, 0.0, 0.0]
+    assert power_sums(np.empty((0, 1)), 2).tolist() == [0.0, 0.0, 0.0]
     data = Dataset([0.5, 1.0, 0.0])
     assert np.array_equal(moments_unnormalized(data, 3), s)
+    with pytest.raises(DomainError):
+        power_sums(x, -1)
+
+
+def test_power_sums_mixed_order_cells_and_blocks():
+    rng = np.random.default_rng(5)
+    block = rng.uniform(size=(3, 50, 2))
+    s = power_sums(block, 2)
+    assert s.shape == (3, 9)
+    for i in range(3):
+        x, y = block[i, :, 0], block[i, :, 1]
+        # itertools.product(range(3), repeat=2) order: alpha = (a_x, a_y)
+        want = [x**ax * y**ay for ax in range(3) for ay in range(3)]
+        assert np.allclose(s[i], [np.sum(w * np.ones(50)) for w in want])
+        assert np.array_equal(s[i], power_sums(block[i], 2))
+    assert np.array_equal(power_sums(block, 2, [4, 0, 8]), s[:, [4, 0, 8]])
+    # k=1, d=2 is (n, sum y, sum x, sum x*y) with the covariance's sums
+    x, y = block[0, :, 0], block[0, :, 1]
+    want = [50.0, np.sum(y), np.sum(x), np.sum(x * y)]
+    assert np.array_equal(power_sums(block[0], 1), want)
 
 
 def test_variance_hand_values():
@@ -188,3 +218,63 @@ def test_covariance_always_in_range(pairs):
     lo, hi = feasible_rxy_bounds(float(arr[:, 0].mean()), float(arr[:, 1].mean()))
     mxy = float(np.mean(arr[:, 0] * arr[:, 1]))
     assert lo - 1e-9 <= mxy <= hi + 1e-9
+
+
+# -- per-dataset oracles for the block kernels ------------------------------------
+#
+# The per-dataset variance and covariance of earlier releases: 1-d sums over
+# one column at a time (a strided view for the covariance) and the scalar
+# clamp.  The block kernels must reproduce them bit for bit.
+
+
+def _variance_oracle(x: np.ndarray) -> float:
+    p = np.ones_like(x) * x
+    s = [float(x.shape[0]), np.sum(p), np.sum(p * x)]
+    return clip(ratio_variance(s[0], s[1], s[2]), VARIANCE_RANGE)
+
+
+def _covariance_oracle(x: np.ndarray, y: np.ndarray) -> float:
+    n = float(x.shape[0])
+    return clip(ratio_covariance(n, np.sum(x), np.sum(y), np.sum(x * y)), COVARIANCE_RANGE)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+_unit = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, 1.0]))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_block_kernels_match_per_dataset_oracles(draw):
+    pairs = draw.draw(st.integers(1, 3), label="pairs")
+    n = draw.draw(st.integers(1, 300), label="n")
+    block = draw.draw(arrays(np.float64, (pairs, n, 2), elements=_unit), label="block")
+    singles = np.ascontiguousarray(block[..., :1])
+    got = {
+        "var": variances(singles),
+        "var_view": variances(block[..., :1]),
+        "cov": covariances(block),
+        "uvar": unnormalized_variances(singles),
+        "ucov": unnormalized_covariances(block),
+    }
+    assert all(v.shape == (pairs,) for v in got.values())
+    for i in range(pairs):
+        x, y = block[i, :, 0], block[i, :, 1]
+        var, cov = _variance_oracle(np.ascontiguousarray(x)), _covariance_oracle(x, y)
+        assert _same_bits(got["var"][i], var) and _same_bits(got["var_view"][i], var)
+        assert _same_bits(got["cov"][i], cov)
+        assert _same_bits(got["uvar"][i], n * var) and _same_bits(got["ucov"][i], n * cov)
+        assert _same_bits(variance_exact(Dataset(block[i, :, :1])), var)
+        assert _same_bits(covariance_exact(Dataset(block[i])), cov)
+
+
+def test_block_kernel_errors():
+    with pytest.raises(DomainError, match="variance needs d=1 data, got d=2"):
+        variances(np.zeros((3, 4, 2)))
+    with pytest.raises(DomainError, match="covariance needs d=2 data, got d=1"):
+        unnormalized_covariances(np.zeros((4, 1)))
+    with pytest.raises(UndefinedStatisticError):
+        covariances(np.zeros((3, 0, 2)))
+    assert unnormalized_variances(np.zeros((3, 0, 1))).tolist() == [0.0, 0.0, 0.0]
