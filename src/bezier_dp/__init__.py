@@ -43,14 +43,11 @@ from .stats import (
     VARIANCE_RANGE,
     ClipRange,
     Dataset,
-    clip,
     correlation_exact,
     covariance_exact,
     feasible_rxy_bounds,
     moments_unnormalized,
     standardized_moment,
-    unnormalized_covariance,
-    unnormalized_variance,
     variance_exact,
 )
 from .mechanisms import (
@@ -133,14 +130,11 @@ __all__ = [
     "VARIANCE_RANGE",
     "ClipRange",
     "Dataset",
-    "clip",
     "correlation_exact",
     "covariance_exact",
     "feasible_rxy_bounds",
     "moments_unnormalized",
     "standardized_moment",
-    "unnormalized_covariance",
-    "unnormalized_variance",
     "variance_exact",
     # mechanisms
     "MECHANISM_IDS",

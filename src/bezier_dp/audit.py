@@ -202,78 +202,54 @@ def _per_dataset(map_fn: Callable[[Dataset], np.ndarray], d: int):
 
 # -- ready-made maps --------------------------------------------------------
 #
-# Each map's `block` attribute is its form on (pairs, n, d) record blocks,
-# returning (pairs, m); the map itself is the one-row case.  The variance
-# and covariance maps are the `stats` kernels themselves (`variances`,
-# `covariances` and their unnormalized forms) with the value as a
-# length-1 vector, so they are `variance_exact`/`covariance_exact` by
+# Each map is the one-row case of its block form, kept as its `block`
+# attribute: a function on (pairs, n, d) record blocks returning (pairs, m).
+# The variance and covariance maps are the `stats` kernels themselves
+# (`variances`, `covariances` and their unnormalized forms) with the value
+# as a length-1 vector, so they are `variance_exact`/`covariance_exact` by
 # construction.
 
 
-def _uvar_block(values: np.ndarray) -> np.ndarray:
-    return unnormalized_variances(values)[..., None]
+def _dataset_map(block, doc: str | None) -> Callable[[Dataset], np.ndarray]:
+    """The map ``data -> block(data.values[None])[0]``, with `block` attached."""
 
+    def f(data: Dataset) -> np.ndarray:
+        return block(data.values[None])[0]
 
-def _ucov_block(values: np.ndarray) -> np.ndarray:
-    return unnormalized_covariances(values)[..., None]
-
-
-def _svar_block(values: np.ndarray) -> np.ndarray:
-    return variances(values)[..., None]
-
-
-def _scov_block(values: np.ndarray) -> np.ndarray:
-    return covariances(values)[..., None]
-
-
-def _transformed_block(values: np.ndarray) -> np.ndarray:
-    u = _uvar_block(values)
-    return np.concatenate([values.shape[-2] - u, u], axis=-1)
+    f.__doc__, f.block = doc, block
+    return f
 
 
 def bernstein_map(k: int, d: int = 1) -> Callable[[Dataset], np.ndarray]:
     """Dataset -> flat Bernstein aggregate (claimed L1 sensitivity exactly 1)."""
-
-    def block(values: np.ndarray) -> np.ndarray:
-        return bernstein_aggregate(values, k)
-
-    def f(data: Dataset) -> np.ndarray:
-        return block(data.values)
-
-    f.block = block
-    return f
+    return _dataset_map(lambda values: bernstein_aggregate(values, k), None)
 
 
-def unnormalized_variance_map(data: Dataset) -> np.ndarray:
-    """Dataset -> [n * variance] (claimed add-remove sensitivity 1)."""
-    return _uvar_block(data.values[None])[0]
+def _transformed_block(values: np.ndarray) -> np.ndarray:
+    u = unnormalized_variances(values)[..., None]
+    return np.concatenate([values.shape[-2] - u, u], axis=-1)
 
 
-def unnormalized_covariance_map(data: Dataset) -> np.ndarray:
-    """Dataset -> [n * covariance] (claimed add-remove sensitivity 1)."""
-    return _ucov_block(data.values[None])[0]
-
-
-def transformed_pair_map(data: Dataset) -> np.ndarray:
-    """Dataset -> [n - u, u] with u = n * variance (claimed sensitivity 1)."""
-    return _transformed_block(data.values[None])[0]
-
-
-def swap_variance_map(data: Dataset) -> np.ndarray:
-    """Dataset -> [variance]; swap-model sensitivity is claimed <= 1/n."""
-    return _svar_block(data.values[None])[0]
-
-
-def swap_covariance_map(data: Dataset) -> np.ndarray:
-    """Dataset -> [covariance]; swap-model sensitivity is claimed <= 1/n."""
-    return _scov_block(data.values[None])[0]
-
-
-unnormalized_variance_map.block = _uvar_block
-unnormalized_covariance_map.block = _ucov_block
-transformed_pair_map.block = _transformed_block
-swap_variance_map.block = _svar_block
-swap_covariance_map.block = _scov_block
+unnormalized_variance_map = _dataset_map(
+    lambda values: unnormalized_variances(values)[..., None],
+    "Dataset -> [n * variance] (claimed add-remove sensitivity 1).",
+)
+unnormalized_covariance_map = _dataset_map(
+    lambda values: unnormalized_covariances(values)[..., None],
+    "Dataset -> [n * covariance] (claimed add-remove sensitivity 1).",
+)
+transformed_pair_map = _dataset_map(
+    _transformed_block,
+    "Dataset -> [n - u, u] with u = n * variance (claimed sensitivity 1).",
+)
+swap_variance_map = _dataset_map(
+    lambda values: variances(values)[..., None],
+    "Dataset -> [variance]; swap-model sensitivity is claimed <= 1/n.",
+)
+swap_covariance_map = _dataset_map(
+    lambda values: covariances(values)[..., None],
+    "Dataset -> [covariance]; swap-model sensitivity is claimed <= 1/n.",
+)
 
 
 def builtin_maps() -> dict[str, dict]:

@@ -36,8 +36,6 @@ MAX_VECTOR_LEN = 1_000_000
 _AGG_CHUNK = 1 << 16
 _AGG_VALUES = 1 << 22
 
-_pascal_rows: list[list[int]] = [[1]]
-
 
 def _check_degree(k) -> int:
     if not isinstance(k, (int, np.integer)):
@@ -51,14 +49,10 @@ def _check_degree(k) -> int:
 
 
 def binomial(n: int, j: int) -> int:
-    """C(n, j) from a grown-on-demand Pascal triangle (exact int)."""
+    """C(n, j) as an exact int."""
     if n < 0 or j < 0 or j > n:
         raise DomainError(f"binomial needs 0 <= j <= n, got n={n}, j={j}")
-    while len(_pascal_rows) <= n:
-        prev = _pascal_rows[-1]
-        row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        _pascal_rows.append(row)
-    return _pascal_rows[n][j]
+    return math.comb(n, j)
 
 
 def _basis_cells_first(k: int, xs: np.ndarray) -> np.ndarray:

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--noise", choices=["seeded", "zero"])
     ben.add_argument("--fresh-data", action="store_true", help="new dataset per trial")
     ben.add_argument("--clip-input", action="store_true")
-    ben.add_argument("--threads", type=int, help="0 = all cores (default: env or 1)")
+    ben.add_argument("--threads", type=int, help="0 = all cores (default: 1)")
     ben.add_argument("--out", help="write the report CSV (+ config sidecar) here")
 
     aud = sub.add_parser("audit", help="empirical sensitivity of an aggregate map")
@@ -126,9 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad {what} list {text!r}") from None
+    if not values:
+        raise ConfigError(f"empty {what} list {text!r}")
+    return values
 
 
 def _cmd_estimate(args) -> int:

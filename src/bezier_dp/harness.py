@@ -129,22 +129,29 @@ class ExperimentConfig:
             raise ConfigError(
                 f"statistic must be one of {_STATISTICS}, got {cfg.statistic!r}"
             )
+        if not isinstance(cfg.mechanisms, (list, tuple)) or not all(
+            isinstance(m, str) for m in cfg.mechanisms
+        ):
+            raise ConfigError(f"mechanisms must be a list of names, got {cfg.mechanisms!r}")
         if not cfg.mechanisms:
             raise ConfigError("at least one mechanism is required")
         cfg.mechanisms = [resolve_mechanism(m, cfg.statistic) for m in cfg.mechanisms]
+        if not isinstance(cfg.epsilons, (list, tuple)):
+            raise ConfigError(f"epsilons must be a list of numbers, got {cfg.epsilons!r}")
         if not cfg.epsilons:
             raise ConfigError("at least one epsilon is required")
-        cfg.epsilons = [float(e) for e in cfg.epsilons]
+        cfg.epsilons = [_number(e, "epsilon") for e in cfg.epsilons]
         for e in cfg.epsilons:
             if not (math.isfinite(e) and e > 0.0):
                 raise ConfigError(f"epsilon must be finite and > 0, got {e}")
-        if int(cfg.trials) < 1:
+        cfg.trials = _integer(cfg.trials, "trials")
+        if cfg.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-        cfg.trials = int(cfg.trials)
         if cfg.statistic == "moment":
             if cfg.moment_k is None or cfg.moment_j is None:
                 raise ConfigError("statistic 'moment' needs moment_k and moment_j")
-            cfg.moment_k, cfg.moment_j = int(cfg.moment_k), int(cfg.moment_j)
+            cfg.moment_k = _integer(cfg.moment_k, "moment_k")
+            cfg.moment_j = _integer(cfg.moment_j, "moment_j")
             if cfg.moment_k < 1:
                 raise ConfigError(f"moment_k must be >= 1, got {cfg.moment_k}")
             if not 0 <= cfg.moment_j <= cfg.moment_k:
@@ -157,31 +164,38 @@ class ExperimentConfig:
                 f"got {cfg.distribution!r}"
             )
         if cfg.distribution == "csv":
-            if not cfg.csv_path:
+            if not cfg.csv_path or not isinstance(cfg.csv_path, str):
                 raise ConfigError("distribution 'csv' needs csv_path")
         else:
-            if int(cfg.n) < 1:
+            cfg.n = _integer(cfg.n, "n")
+            if cfg.n < 1:
                 raise ConfigError(f"n must be >= 1 for synthetic data, got {cfg.n}")
-            cfg.n = int(cfg.n)
+        if cfg.distribution in ("beta", "correlated") and cfg.dist_param is not None:
+            cfg.dist_param = _number(cfg.dist_param, "dist_param")
         if cfg.distribution == "beta":
-            if cfg.dist_param is None or not 0.0 < float(cfg.dist_param) < 1.0:
+            if cfg.dist_param is None or not 0.0 < cfg.dist_param < 1.0:
                 raise ConfigError(
                     f"beta data needs a mean parameter in (0, 1), got {cfg.dist_param}"
                 )
-            cfg.dist_param = float(cfg.dist_param)
         if cfg.distribution == "correlated":
             if statistic_dimension(cfg.statistic) != 2:
                 raise ConfigError("correlated data needs a two-column statistic")
-            if cfg.dist_param is None or not 0.0 <= float(cfg.dist_param) <= 1.0:
+            if cfg.dist_param is None or not 0.0 <= cfg.dist_param <= 1.0:
                 raise ConfigError(
                     f"correlated data needs rho in [0, 1], got {cfg.dist_param}"
                 )
-            cfg.dist_param = float(cfg.dist_param)
         if cfg.noise not in ("seeded", "zero"):
             raise ConfigError(f"noise must be 'seeded' or 'zero', got {cfg.noise!r}")
-        if cfg.threads is not None and int(cfg.threads) < 0:
-            raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
-        cfg.base_seed = int(cfg.base_seed)
+        for name in ("fixed_data", "clip_input"):
+            if not isinstance(getattr(cfg, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
+        if cfg.threads is not None:
+            cfg.threads = _integer(cfg.threads, "threads")
+            if cfg.threads < 0:
+                raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
+        cfg.base_seed = _integer(cfg.base_seed, "base_seed")
+        if cfg.output_path is not None and not isinstance(cfg.output_path, str):
+            raise ConfigError(f"output_path must be a path, got {cfg.output_path!r}")
         return cfg
 
     def to_json_dict(self) -> dict:
@@ -209,6 +223,26 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_json_dict(payload)
+
+
+def _number(value, what: str) -> float:
+    """`value` as a float; ConfigError for a bool or what float() rejects."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int; ConfigError unless it is a number with an integral value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    x = _number(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
 
 
 def parse_distribution(text: str) -> tuple[str, float | None, str | None]:
@@ -546,30 +580,11 @@ class BenchmarkReport:
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "mechanism",
-                    "epsilon",
-                    "n",
-                    "trials",
-                    "mse",
-                    "normalized_mse",
-                    "std_error",
-                    "analytic_prediction",
-                ]
-            )
+            writer.writerow(f.name for f in dataclasses.fields(BenchmarkRow))
             for row in self.rows:
                 writer.writerow(
-                    [
-                        row.mechanism,
-                        repr(row.epsilon),
-                        row.n,
-                        row.trials,
-                        repr(row.mse),
-                        repr(row.normalized_mse),
-                        repr(row.std_error),
-                        "" if row.analytic_prediction is None else repr(row.analytic_prediction),
-                    ]
+                    "" if v is None else v if isinstance(v, str) else repr(v)
+                    for v in dataclasses.astuple(row)
                 )
 
     def write_config_sidecar(self, path: str) -> None:
@@ -580,21 +595,8 @@ class BenchmarkReport:
 
 
 def _resolve_threads(cfg: ExperimentConfig) -> int:
-    if cfg.threads is not None:
-        t = int(cfg.threads)
-    else:
-        envval = os.environ.get("BEZIER_DP_THREADS", "").strip()
-        if not envval:
-            return 1
-        try:
-            t = int(envval)
-        except ValueError:
-            raise ConfigError(
-                f"BEZIER_DP_THREADS must be an integer, got {envval!r}"
-            ) from None
-        if t < 0:
-            raise ConfigError(f"BEZIER_DP_THREADS must be >= 0, got {t}")
-    return t if t > 0 else (os.cpu_count() or 1)
+    """Worker count: the config's, 1 when unset, every core for 0."""
+    return (1 if cfg.threads is None else cfg.threads) or os.cpu_count() or 1
 
 
 def _trial_blocks(trials: int, threads: int) -> list[tuple[int, int]]:
@@ -616,6 +618,8 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
     each epsilon scales it and runs the mechanism once over all rows.
     """
     cfg = cfg.normalized()
+    if cfg.output_path and not os.path.isdir(os.path.dirname(cfg.output_path) or "."):
+        raise ConfigError(f"cannot write report {cfg.output_path}: no such directory")
     threads = _resolve_threads(cfg)
     mechs, epss, trials = cfg.mechanisms, cfg.epsilons, cfg.trials
     zero_noise = cfg.noise == "zero"
@@ -710,8 +714,11 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
         trial_errors=errors if keep_trial_errors else None,
     )
     if cfg.output_path:
-        report.write_csv(cfg.output_path)
-        report.write_config_sidecar(cfg.output_path + ".config.json")
+        try:
+            report.write_csv(cfg.output_path)
+            report.write_config_sidecar(cfg.output_path + ".config.json")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {cfg.output_path}: {exc}") from exc
     return report
 
 

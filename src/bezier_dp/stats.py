@@ -39,21 +39,8 @@ CENTERED_FOURTH_RANGE = ClipRange(0.0, 0.25)
 
 
 def clamp(x, rng: ClipRange):
-    """`np.clip` of an array or numpy scalar into rng, at half its call overhead."""
+    """`np.clip` of an array or scalar into rng, at half its call overhead."""
     return np.minimum(np.maximum(x, rng.lo), rng.hi)
-
-
-def clip(x: float, rng: ClipRange) -> float:
-    """Clamp a scalar into a closed range (DomainError if lo > hi)."""
-    lo, hi = float(rng[0]), float(rng[1])
-    if lo > hi:
-        raise DomainError(f"empty clip range [{lo}, {hi}]")
-    x = float(x)
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
 
 
 class Dataset:
@@ -226,16 +213,6 @@ def covariance_exact(data: Dataset) -> float:
     return float(covariances(data.values))
 
 
-def unnormalized_variance(data: Dataset) -> float:
-    """n times the population variance; 0 for an empty dataset."""
-    return float(unnormalized_variances(data.values))
-
-
-def unnormalized_covariance(data: Dataset) -> float:
-    """n times the population covariance; 0 for an empty dataset."""
-    return float(unnormalized_covariances(data.values))
-
-
 def correlation_exact(data: Dataset) -> float:
     """Pearson correlation of a d=2 dataset, clamped to [-1, 1]."""
     _require_dim(data.values, 2, "correlation")
@@ -246,7 +223,7 @@ def correlation_exact(data: Dataset) -> float:
         raise UndefinedStatisticError(
             "correlation is undefined when a marginal variance is zero"
         )
-    return clip(covariances(data.values) / np.sqrt(vx * vy), CORRELATION_RANGE)
+    return float(clamp(covariances(data.values) / np.sqrt(vx * vy), CORRELATION_RANGE))
 
 
 def _centered(data: Dataset, order: int, what: str) -> np.ndarray:
@@ -277,7 +254,7 @@ def centered_moment_exact(data: Dataset, order: int) -> float:
     """Central moment E[(x - mean)^order] for order 3 or 4, clamped."""
     c = _centered(data, order, "centered moment")
     rng = CENTERED_THIRD_RANGE if order == 3 else CENTERED_FOURTH_RANGE
-    return clip(float(np.mean(c**order)), rng)
+    return float(clamp(np.mean(c**order), rng))
 
 
 def feasible_rxy_bounds(r_x: float, r_y: float) -> tuple[float, float]:

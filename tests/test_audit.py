@@ -23,9 +23,7 @@ from bezier_dp import (
     swap_covariance_map,
     swap_variance_map,
     transformed_pair_map,
-    unnormalized_covariance,
     unnormalized_covariance_map,
-    unnormalized_variance,
     unnormalized_variance_map,
     variance_exact,
 )
@@ -69,8 +67,16 @@ def _bernstein_ref(k):
     return lambda ds: bernstein_aggregate(ds.values, k)
 
 
+def _uvar_ref(ds):
+    return ds.n * variance_exact(ds) if ds.n else 0.0
+
+
+def _ucov_ref(ds):
+    return ds.n * covariance_exact(ds) if ds.n else 0.0
+
+
 def _transformed_ref(ds):
-    u = unnormalized_variance(ds)
+    u = _uvar_ref(ds)
     return np.array([ds.n - u, u])
 
 
@@ -81,11 +87,11 @@ REFERENCE_MAPS = {
     "bernstein_k2d2": (bernstein_map(2, 2), "add-remove", 2, _bernstein_ref(2)),
     "uvar": (
         unnormalized_variance_map, "add-remove", 1,
-        lambda ds: np.array([unnormalized_variance(ds)]),
+        lambda ds: np.array([_uvar_ref(ds)]),
     ),
     "ucov": (
         unnormalized_covariance_map, "add-remove", 2,
-        lambda ds: np.array([unnormalized_covariance(ds)]),
+        lambda ds: np.array([_ucov_ref(ds)]),
     ),
     "transformed": (transformed_pair_map, "add-remove", 1, _transformed_ref),
     "swap_variance": (swap_variance_map, "swap", 1, lambda ds: np.array([variance_exact(ds)])),

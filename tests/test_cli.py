@@ -287,6 +287,37 @@ def test_benchmark_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", "abc"), ("epsilons", ["x"]), ("epsilons", 1.0), ("base_seed", "s"),
+     ("dist_param", "x"), ("n", 2.7), ("mechanisms", "bezier")],
+)
+def test_benchmark_config_field_of_the_wrong_type(field, value, tmp_path, capsys):
+    payload = {"mechanisms": ["bezier"], "epsilons": [1.0], "n": 20, "trials": 4,
+               "distribution": "beta", "dist_param": 0.3, field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert main(["benchmark", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field.rstrip("s") in captured.err
+
+
+def test_benchmark_out_to_a_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    argv = ["benchmark", "--mechanisms", "bezier", "--epsilons", "1", "--trials", "2"]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert not captured.out  # refused before any trial ran
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a path the report cannot be written to: the trials run, then exit 2
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report")
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -331,6 +362,10 @@ def test_theory_sigma(capsys):
     assert f"sigma(1) = {sigma_lower_bound(1.0)!r}" in out
     assert main(["theory", "sigma", "--epsilon", "-1"]) == EXIT_CONFIG
     capsys.readouterr()
+    for empty in ("", ","):
+        assert main(["theory", "sigma", "--epsilon", empty]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.startswith("error: empty epsilon list")
 
 
 def test_infinite_epsilon_is_a_config_error(data_csv, capsys):

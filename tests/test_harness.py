@@ -26,6 +26,7 @@ from bezier_dp import (
     statistic_dimension,
     variance_exact,
 )
+from bezier_dp import harness
 from bezier_dp.harness import _STATISTICS, DATA_CHANNEL, _resolve_threads, _trial_blocks
 
 
@@ -103,6 +104,10 @@ def test_config_normalized_happy_path():
     assert cfg.mechanisms == ["bezier_variance", "naive_variance"]
     assert cfg.epsilons == [0.5, 1.0]
     assert cfg.trials == 8
+    # integral numbers are integers whatever their JSON spelling
+    cfg = _cfg(n=50.0, trials="8", base_seed=np.uint64(2**63 + 5), threads=2.0).normalized()
+    assert (cfg.n, cfg.trials, cfg.base_seed, cfg.threads) == (50, 8, 2**63 + 5, 2)
+    assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.base_seed, cfg.threads))
 
 
 @pytest.mark.parametrize(
@@ -131,6 +136,24 @@ def test_config_normalized_happy_path():
         dict(distribution="csv"),  # missing csv_path
         dict(noise="gaussian"),
         dict(threads=-1),
+        # fields of the wrong type, as a JSON config can give them
+        dict(trials="abc"),
+        dict(epsilons=["x"]),
+        dict(epsilons=1.0),
+        dict(base_seed="s"),
+        dict(distribution="beta", dist_param="x"),
+        dict(n=2.7),
+        dict(mechanisms="bezier"),
+        dict(mechanisms=[1]),
+        dict(trials=True),
+        dict(n=float("nan")),
+        dict(threads=1.5),
+        dict(epsilons=[None]),
+        dict(statistic="moment", moment_k=2.5, moment_j=1, mechanisms=["moment"]),
+        dict(distribution="csv", csv_path=3),
+        dict(output_path=1),
+        dict(fixed_data="false"),
+        dict(clip_input=1),
     ],
 )
 def test_config_normalized_rejects(kw):
@@ -436,21 +459,10 @@ def test_run_benchmark_matches_per_trial_releases():
                         assert report.trial_errors[(mid, eps)][t] == diff * diff, (name, mid, t)
 
 
-def test_thread_resolution(monkeypatch):
-    monkeypatch.delenv("BEZIER_DP_THREADS", raising=False)
+def test_thread_resolution():
     assert _resolve_threads(_cfg().normalized()) == 1
     assert _resolve_threads(_cfg(threads=5).normalized()) == 5
-    monkeypatch.setenv("BEZIER_DP_THREADS", "3")
-    assert _resolve_threads(_cfg().normalized()) == 3
-    assert _resolve_threads(_cfg(threads=2).normalized()) == 2  # config wins
-    monkeypatch.setenv("BEZIER_DP_THREADS", "0")
-    assert _resolve_threads(_cfg().normalized()) >= 1
-    monkeypatch.setenv("BEZIER_DP_THREADS", "many")
-    with pytest.raises(ConfigError):
-        _resolve_threads(_cfg().normalized())
-    monkeypatch.setenv("BEZIER_DP_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        _resolve_threads(_cfg().normalized())
+    assert _resolve_threads(_cfg(threads=0).normalized()) >= 1
 
 
 def test_trial_blocks_partition():
@@ -476,19 +488,36 @@ def test_benchmark_csv_and_sidecar(tmp_path):
         output_path=str(out),
     )
     report = run_benchmark(cfg)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == (
-        "mechanism,epsilon,n,trials,mse,normalized_mse,std_error,analytic_prediction"
-    )
-    assert len(lines) == 3
-    cells = lines[1].split(",")
-    assert cells[0] == "bezier_variance"
-    assert float(cells[4]) == report.rows[0].mse  # repr round-trips exactly
-    assert float(cells[7]) == report.rows[0].analytic_prediction
+    # floats as repr, which round-trips exactly; csv's CRLF line ends
+    assert out.read_bytes().split(b"\r\n") == [
+        b"mechanism,epsilon,n,trials,mse,normalized_mse,std_error,analytic_prediction",
+        b"bezier_variance,1.0,50,8,0.00012765672182799194,0.3191418045699798,"
+        b"3.2267466830027666e-05,0.3334959162817627",
+        b"swap_variance,1.0,50,8,0.0008716625817113843,2.179156454278461,"
+        b"0.0003545992540326349,2.0000000000000027",
+        b"",
+    ]
+    assert float(b"3.2267466830027666e-05") == report.rows[0].std_error
     sidecar = json.loads((tmp_path / "report.csv.config.json").read_text())
     assert sidecar["version"]
     assert sidecar["config"]["mechanisms"] == ["bezier_variance", "swap_variance"]
     assert sidecar["config"]["base_seed"] == 0
+
+
+def test_benchmark_report_directory_checked_before_any_trial(tmp_path, monkeypatch):
+    def no_data(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "generate_dataset", no_data)
+    with pytest.raises(ConfigError, match="no such directory"):
+        run_benchmark(_cfg(output_path=str(tmp_path / "missing" / "r.csv")))
+    assert not (tmp_path / "missing").exists()
+
+
+def test_benchmark_report_write_errors_are_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="cannot write report") as exc:
+        run_benchmark(_cfg(output_path=str(tmp_path)))  # a directory
+    assert isinstance(exc.value.__cause__, OSError)
 
 
 def test_benchmark_correlation_prediction_blank_in_csv(tmp_path):

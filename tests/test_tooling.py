@@ -80,3 +80,35 @@ def test_prediction_id_form_for_every_mc_grid_id():
             for eps in wl.MC_EPSILONS:
                 pred = bezier_dp.predicted_normalized_mse(mid, data, eps)
                 assert pred is not None and math.isfinite(pred) and pred > 0.0, mid
+
+
+def test_perfbench_corruptions_reach_their_workloads(monkeypatch, tmp_path, capsys):
+    # perfbench/test_smoke.py proves each workload counts a wrong library
+    # output as a failure by patching one name per workload; each patch is
+    # only a proof if the workload's path goes through the patched name
+    cfg = ExperimentConfig(mechanisms=["bezier"], epsilons=[1.0], n=30, trials=3)
+    before = harness.run_benchmark(cfg).rows
+    real = PreparedMechanism.run_value
+    monkeypatch.setattr(
+        PreparedMechanism, "run_value", lambda self, eps, source: real(self, eps, source) + 0.5
+    )
+    assert harness.run_benchmark(cfg).rows != before
+
+    def factory(k, d=1):
+        raise AssertionError("unused")
+
+    monkeypatch.setattr(bezier_dp.audit, "bernstein_map", factory)
+    assert bezier_dp.audit.builtin_maps()["bernstein"]["factory"] is factory
+
+    calls, real_estimate = [], bezier_dp.cli.run_estimate
+
+    def estimate(*args, **kw):
+        calls.append(args)
+        return real_estimate(*args, **kw)
+
+    monkeypatch.setattr(bezier_dp.cli, "run_estimate", estimate)
+    data = tmp_path / "x.csv"
+    data.write_text("0.2\n0.4\n")
+    argv = ["estimate", "--data", str(data), "--mechanism", "bezier", "--epsilon", "1"]
+    assert bezier_dp.cli.main(argv) == 0
+    assert calls and calls[0][0] == str(data)
