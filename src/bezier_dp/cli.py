@@ -124,9 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, kind=float) -> list:
+    """Comma-separated values of type `kind`; ConfigError for a bad or empty list."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad {what} list {text!r}") from None
     if not values:
@@ -168,35 +169,24 @@ def _cmd_benchmark(args) -> int:
         if not args.mechanisms or not args.epsilons:
             raise ConfigError("benchmark needs --config or --mechanisms/--epsilons")
         cfg = ExperimentConfig(mechanisms=[], epsilons=[])
-    if args.mechanisms:
+    if args.mechanisms is not None:
         cfg.mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
-    if args.epsilons:
-        cfg.epsilons = _parse_floats(args.epsilons, "epsilon")
-    if args.statistic:
-        cfg.statistic = args.statistic
-    if args.distribution:
+    if args.epsilons is not None:
+        cfg.epsilons = _parse_list(args.epsilons, "epsilon")
+    if args.distribution is not None:
         kind, param, path = parse_distribution(args.distribution)
         cfg.distribution, cfg.dist_param, cfg.csv_path = kind, param, path
-    if args.n is not None:
-        cfg.n = args.n
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.moment_k is not None:
-        cfg.moment_k = args.moment_k
-    if args.moment_j is not None:
-        cfg.moment_j = args.moment_j
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.noise:
-        cfg.noise = args.noise
+    for flag, name in (
+        ("statistic", "statistic"), ("n", "n"), ("trials", "trials"), ("moment_k", "moment_k"),
+        ("moment_j", "moment_j"), ("seed", "base_seed"), ("noise", "noise"),
+        ("threads", "threads"), ("out", "output_path"),
+    ):
+        if getattr(args, flag) is not None:
+            setattr(cfg, name, getattr(args, flag))
     if args.fresh_data:
         cfg.fixed_data = False
     if args.clip_input:
         cfg.clip_input = True
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.out:
-        cfg.output_path = args.out
 
     report = run_benchmark(cfg)
     print(
@@ -225,11 +215,8 @@ def _cmd_audit(args) -> int:
         fn = info["fn"]
         d = info["d"]
         label = args.map
-    if args.sizes:
-        try:
-            sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"bad sizes list {args.sizes!r}") from None
+    if args.sizes is not None:
+        sizes = _parse_list(args.sizes, "sizes", int)
     else:
         sizes = [1, 2, 5, 20, 100] if model == "swap" else [0, 1, 2, 5, 20, 100]
     report = empirical_sensitivity(
@@ -248,7 +235,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_theory(args) -> int:
     if args.query == "sigma":
-        for eps in _parse_floats(args.epsilon, "epsilon"):
+        for eps in _parse_list(args.epsilon, "epsilon"):
             print(f"sigma({eps:g}) = {sigma_lower_bound(eps)!r}")
         return EXIT_OK
     if args.query == "constants":

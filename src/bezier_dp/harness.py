@@ -147,11 +147,22 @@ class ExperimentConfig:
         cfg.trials = _integer(cfg.trials, "trials")
         if cfg.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+        # optional fields are type-checked wherever they are set; the data
+        # and moment fields are dropped (at the end) where the run reads none
+        for name, convert in (
+            ("dist_param", _number), ("moment_k", _integer), ("moment_j", _integer),
+            ("threads", _integer),
+        ):
+            value = getattr(cfg, name)
+            if value is not None:
+                setattr(cfg, name, convert(value, name))
+        for name in ("csv_path", "output_path"):
+            value = getattr(cfg, name)
+            if value is not None and not (isinstance(value, str) and value):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
         if cfg.statistic == "moment":
             if cfg.moment_k is None or cfg.moment_j is None:
                 raise ConfigError("statistic 'moment' needs moment_k and moment_j")
-            cfg.moment_k = _integer(cfg.moment_k, "moment_k")
-            cfg.moment_j = _integer(cfg.moment_j, "moment_j")
             if cfg.moment_k < 1:
                 raise ConfigError(f"moment_k must be >= 1, got {cfg.moment_k}")
             if not 0 <= cfg.moment_j <= cfg.moment_k:
@@ -164,14 +175,12 @@ class ExperimentConfig:
                 f"got {cfg.distribution!r}"
             )
         if cfg.distribution == "csv":
-            if not cfg.csv_path or not isinstance(cfg.csv_path, str):
+            if cfg.csv_path is None:
                 raise ConfigError("distribution 'csv' needs csv_path")
         else:
             cfg.n = _integer(cfg.n, "n")
             if cfg.n < 1:
                 raise ConfigError(f"n must be >= 1 for synthetic data, got {cfg.n}")
-        if cfg.distribution in ("beta", "correlated") and cfg.dist_param is not None:
-            cfg.dist_param = _number(cfg.dist_param, "dist_param")
         if cfg.distribution == "beta":
             if cfg.dist_param is None or not 0.0 < cfg.dist_param < 1.0:
                 raise ConfigError(
@@ -189,13 +198,15 @@ class ExperimentConfig:
         for name in ("fixed_data", "clip_input"):
             if not isinstance(getattr(cfg, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
-        if cfg.threads is not None:
-            cfg.threads = _integer(cfg.threads, "threads")
-            if cfg.threads < 0:
-                raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
+        if cfg.threads is not None and cfg.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {cfg.threads}")
         cfg.base_seed = _integer(cfg.base_seed, "base_seed")
-        if cfg.output_path is not None and not isinstance(cfg.output_path, str):
-            raise ConfigError(f"output_path must be a path, got {cfg.output_path!r}")
+        if cfg.statistic != "moment":
+            cfg.moment_k = cfg.moment_j = None
+        if cfg.distribution not in ("beta", "correlated"):
+            cfg.dist_param = None
+        if cfg.distribution != "csv":
+            cfg.csv_path = None
         return cfg
 
     def to_json_dict(self) -> dict:
@@ -303,74 +314,30 @@ def _gamma_mt(src: NoiseSource, shape: float, count: int) -> np.ndarray:
     return out
 
 
-def _gamma(src: NoiseSource, shape: float, count: int) -> np.ndarray:
-    if shape >= 1.0:
-        return _gamma_mt(src, shape, count)
-    # boost: Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1
-    g = _gamma_mt(src, shape + 1.0, count)
-    u = src.uniforms01(count)
-    return g * u ** (1.0 / shape)
-
-
 def _beta_column(src: NoiseSource, r: float, count: int) -> np.ndarray:
-    """Beta(r/2, (1-r)/2) draws: mean r, variance (2/3) r (1-r)."""
-    ga = _gamma(src, 0.5 * r, count)
-    gb = _gamma(src, 0.5 * (1.0 - r), count)
+    """Beta(r/2, (1-r)/2) draws: mean r, variance (2/3) r (1-r).
+
+    Both gamma shapes a lie below 1: Gamma(a) = Gamma(a + 1) * U^(1/a).
+    """
+    ga, gb = (
+        _gamma_mt(src, a + 1.0, count) * src.uniforms01(count) ** (1.0 / a)
+        for a in (0.5 * r, 0.5 * (1.0 - r))
+    )
     tot = ga + gb
     good = tot > 0.0
     return np.where(good, ga / np.where(good, tot, 1.0), r)
 
 
-_RHO_TABLE: tuple[np.ndarray, np.ndarray] | None = None
-_RHO_TABLE_SEED = 0x5EEDBA5E
-_RHO_TABLE_SAMPLES = 40_000
-
-
-def _rho_table() -> tuple[np.ndarray, np.ndarray]:
-    """Monotone map width -> correlation for the additive-jitter pair model."""
-    global _RHO_TABLE
-    if _RHO_TABLE is None:
-        widths = np.linspace(0.0, 8.0, 81)
-        src = NoiseSource.seeded(_RHO_TABLE_SEED)
-        corrs = np.empty_like(widths)
-        corrs[0] = 1.0
-        for i, w in enumerate(widths[1:], start=1):
-            x = src.uniforms01(_RHO_TABLE_SAMPLES)
-            u = src.uniforms01(_RHO_TABLE_SAMPLES)
-            y = np.clip(x + (2.0 * u - 1.0) * w, 0.0, 1.0)
-            cx = x - x.mean()
-            cy = y - y.mean()
-            corrs[i] = float(
-                np.sum(cx * cy)
-                / math.sqrt(float(np.sum(cx * cx)) * float(np.sum(cy * cy)))
-            )
-        corrs = np.minimum.accumulate(np.clip(corrs, 0.0, 1.0))
-        _RHO_TABLE = (widths, corrs)
-    return _RHO_TABLE
-
-
-def _width_for_rho(rho: float) -> float:
-    widths, corrs = _rho_table()
-    lo = float(corrs[-1])
-    if rho < lo:
-        raise ConfigError(
-            f"rho={rho} below the attainable range [{lo:.4f}, 1] of the "
-            "jitter model; use rho=0 for independent columns"
-        )
-    return float(np.interp(rho, corrs[::-1], widths[::-1]))
-
-
 def _correlated_pair(src: NoiseSource, rho: float, count: int) -> np.ndarray:
+    """Uniform pairs of correlation rho: y = x where c < rho, else a fresh y'.
+
+    With x, y' and c i.i.d. uniform in (0, 1), y has the law of x and
+    cov(x, y) = rho var(x); rho = 1 and rho = 0 need no special case.
+    """
     x = src.uniforms01(count)
-    if rho >= 1.0:
-        y = x.copy()
-    elif rho == 0.0:
-        y = src.uniforms01(count)
-    else:
-        w = _width_for_rho(rho)
-        u = src.uniforms01(count)
-        y = np.clip(x + (2.0 * u - 1.0) * w, 0.0, 1.0)
-    return np.column_stack([x, y])
+    y = src.uniforms01(count)
+    c = src.uniforms01(count)
+    return np.column_stack([x, np.where(c < rho, x, y)])
 
 
 def generate_dataset(cfg: ExperimentConfig, trial_seed: int) -> Dataset:

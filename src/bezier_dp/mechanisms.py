@@ -40,11 +40,14 @@ on one draw vector, and ``post`` combines their values.
 for a single release, a (trials, cells) block for Monte Carlo (see
 `noise.NoiseRows`).  Kernels are elementwise in the trials axis and never
 call BLAS, so a trial's value does not depend on how many trials share the
-call.  With zero noise every variance and covariance mechanism reproduces
-the exact statistic bit for bit: s holds the float sums the exact
-statistic is computed from, L maps zero noise to zeros, and ``post`` runs
-the same ratio kernels.  `gradient_norm2` differentiates the unclipped
-value at zero noise, which is all a first-order error prediction needs.
+call.  With zero noise every mechanism but the four moments beyond the
+variance reproduces the exact statistic bit for bit: s holds the float sums
+the exact statistic is computed from, L maps zero noise to zeros, and
+``post`` runs the same ratio kernels.  Those four have only power sums, so
+their one-pass central moments part from the two-pass exact statistic on
+narrow data (kurtosis of 10^4 points of sd 1e-4: by 0.29; sd 1e-5: by 3e3).
+`gradient_norm2` differentiates the unclipped value at zero noise, which is
+all a first-order error prediction needs.
 """
 
 from __future__ import annotations

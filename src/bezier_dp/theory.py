@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bernstein import MAX_DEGREE, binomial
+from .bernstein import bezier_inverse
 from .errors import DomainError, UndefinedStatisticError
 from .mechanisms import PreparedMechanism, check_epsilon, prepare
 from .stats import Dataset, feasible_rxy_bounds
@@ -52,13 +52,10 @@ def sigma_lower_bound(eps: float) -> float:
 
 def inverse_row_weight(k: int, j: int) -> Fraction:
     """Exact sum of squares of row j of the inverse basis-change matrix."""
-    if not 1 <= k <= MAX_DEGREE:
-        raise DomainError(f"degree must lie in [1, {MAX_DEGREE}], got {k}")
+    rows = bezier_inverse(k)  # checks the degree
     if not 0 <= j <= k:
         raise DomainError(f"moment order must lie in [0, {k}], got {j}")
-    return sum(
-        (Fraction(binomial(l, j), binomial(k, j))) ** 2 for l in range(j, k + 1)
-    )
+    return sum(v * v for v in rows[j])
 
 
 def moment_release_mse(k: int, j: int, eps: float) -> float:

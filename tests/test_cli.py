@@ -280,6 +280,11 @@ def test_benchmark_error_exit_codes(tmp_path, capsys):
                  "--distribution", "normal:1"]) == EXIT_CONFIG
     missing = tmp_path / "no.json"
     assert main(["benchmark", "--config", str(missing)]) == EXIT_CONFIG
+    # a flag given but empty overrides the file's value, and is rejected
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mechanisms": ["bezier"], "epsilons": [1.0], "trials": 2}))
+    for flag in ("--epsilons", "--mechanisms", "--distribution", "--out"):
+        assert main(["benchmark", "--config", str(cfg_path), flag, ""]) == EXIT_CONFIG
     bad_data = tmp_path / "bad.csv"
     bad_data.write_text("0.1\nzzz\n")
     assert main(["benchmark", "--mechanisms", "bezier", "--epsilons", "1",
@@ -350,6 +355,13 @@ def test_audit_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sizes", ["", ",", " "])
+def test_audit_given_but_empty_sizes_is_a_config_error(sizes, capsys):
+    # an empty list is not a request for the default sizes
+    assert main(["audit", "--map", "uvar", "--trials", "5", "--sizes", sizes]) == EXIT_CONFIG
+    assert "empty sizes list" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # theory
 # ---------------------------------------------------------------------------
@@ -408,8 +420,15 @@ def test_theory_moment(capsys):
     assert "= 2.5" in capsys.readouterr().out
     assert main(["theory", "moment", "--k", "2", "--j", "5",
                  "--epsilon", "1"]) == EXIT_CONFIG
-    # out-of-range degree is a configuration problem for the closed form
-    # (the capacity exit is reserved for actually building an aggregate)
-    assert main(["theory", "moment", "--k", "99", "--j", "0",
+    assert main(["theory", "moment", "--k", "0", "--j", "0",
                  "--epsilon", "1"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_degree_over_the_limit_is_a_capacity_error_everywhere(data_csv, capsys):
+    # the closed form and a release reject degree 99 the same way
+    assert main(["theory", "moment", "--k", "99", "--j", "0",
+                 "--epsilon", "1"]) == EXIT_CAPACITY
+    assert main(["estimate", "--data", data_csv, "--mechanism", "moment:99:0",
+                 "--epsilon", "1"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err.count("exceeds the supported maximum 60") == 2

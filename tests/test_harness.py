@@ -154,6 +154,13 @@ def test_config_normalized_happy_path():
         dict(output_path=1),
         dict(fixed_data="false"),
         dict(clip_input=1),
+        # optional fields are type-checked even where unread; paths are non-empty
+        dict(dist_param="x"),
+        dict(moment_k="y"),
+        dict(moment_j=1.5),
+        dict(csv_path=3),
+        dict(output_path=""),
+        dict(distribution="csv", csv_path=""),
     ],
 )
 def test_config_normalized_rejects(kw):
@@ -242,43 +249,31 @@ def test_beta_data_moments():
 
 
 def test_correlated_data():
-    cfg = _cfg(
-        statistic="correlation",
-        mechanisms=["bezier"],
-        distribution="correlated",
-        dist_param=0.7,
-        n=40000,
-    ).normalized()
-    data = generate_dataset(cfg, 6)
-    assert correlation_exact(data) == pytest.approx(0.7, abs=0.02)
+    def pair(rho, n, seed=6):
+        cfg = _cfg(
+            statistic="correlation",
+            mechanisms=["bezier"],
+            distribution="correlated",
+            dist_param=rho,
+            n=n,
+        ).normalized()
+        return generate_dataset(cfg, seed)
+
+    # realized correlation within sampling error (4 standard errors of
+    # about 1/sqrt(n)) of rho, over the whole range
+    n = 40000
+    for rho in (0.01, 0.1, 0.5, 0.7, 0.9):
+        for seed in (6, 7):
+            got = correlation_exact(pair(rho, n, seed))
+            assert got == pytest.approx(rho, abs=4.0 / n**0.5), (rho, seed)
+    # both columns keep the uniform law
+    y = pair(0.5, n).column(1)
+    assert float(y.mean()) == pytest.approx(0.5, abs=0.01)
+    assert float(y.var()) == pytest.approx(1.0 / 12.0, rel=0.05)
     # rho = 1 duplicates the column, rho = 0 draws independently
-    cfg1 = _cfg(
-        statistic="correlation",
-        mechanisms=["bezier"],
-        distribution="correlated",
-        dist_param=1.0,
-        n=200,
-    ).normalized()
-    d1 = generate_dataset(cfg1, 6)
+    d1 = pair(1.0, 200)
     assert np.array_equal(d1.column(0), d1.column(1))
-    cfg0 = _cfg(
-        statistic="correlation",
-        mechanisms=["bezier"],
-        distribution="correlated",
-        dist_param=0.0,
-        n=40000,
-    ).normalized()
-    assert abs(correlation_exact(generate_dataset(cfg0, 6))) < 0.02
-    # below the attainable range of the jitter model
-    cfglow = _cfg(
-        statistic="correlation",
-        mechanisms=["bezier"],
-        distribution="correlated",
-        dist_param=0.001,
-        n=10,
-    ).normalized()
-    with pytest.raises(ConfigError):
-        generate_dataset(cfglow, 6)
+    assert abs(correlation_exact(pair(0.0, n))) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +497,21 @@ def test_benchmark_csv_and_sidecar(tmp_path):
     assert sidecar["version"]
     assert sidecar["config"]["mechanisms"] == ["bezier_variance", "swap_variance"]
     assert sidecar["config"]["base_seed"] == 0
+
+
+def test_sidecar_holds_only_fields_the_run_reads(tmp_path):
+    out = tmp_path / "report.csv"
+    cfg = _cfg(
+        dist_param=0.3, csv_path="unused.csv", moment_k=3, moment_j=1, output_path=str(out)
+    )
+    run_benchmark(cfg)
+    sidecar = json.loads((tmp_path / "report.csv.config.json").read_text())["config"]
+    assert [sidecar[k] for k in ("dist_param", "csv_path", "moment_k", "moment_j")] == [None] * 4
+    kept = _cfg(
+        statistic="moment", mechanisms=["moment"], moment_k=3, moment_j=1,
+        distribution="beta", dist_param="0.3",
+    ).normalized()
+    assert (kept.dist_param, kept.moment_k, kept.moment_j, kept.csv_path) == (0.3, 3, 1, None)
 
 
 def test_benchmark_report_directory_checked_before_any_trial(tmp_path, monkeypatch):

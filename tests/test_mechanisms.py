@@ -30,6 +30,7 @@ from bezier_dp import (
     variance_exact,
 )
 from bezier_dp.bernstein import bernstein_aggregate, tensor_apply_inverse
+from bezier_dp.mechanisms import REGISTRY
 from bezier_dp.stats import (
     CENTERED_FOURTH_RANGE,
     CENTERED_THIRD_RANGE,
@@ -73,15 +74,23 @@ def _random_dataset(rng, d):
 # ---------------------------------------------------------------------------
 
 def test_zero_noise_reproduces_exact_statistic_bitwise():
+    # every registry id, moment_release at k = 3, j = 2.  The four moments
+    # beyond the variance are the exception: a release can only compute
+    # them from power sums, while the exact statistic is a two-pass over
+    # the records, so they agree to rounding only (see `mechanisms`)
     rng = np.random.default_rng(101)
-    for _ in range(30):
-        uni = _random_dataset(rng, 1)
-        biv = _random_dataset(rng, 2)
-        for mid in _VARCOV_IDS:
-            data = biv if "covariance" in mid and mid != "variance_via_covariance" else uni
-            prep = prepare(mid, data)
+    for _ in range(100):
+        data = {d: _random_dataset(rng, d) for d in (1, 2)}
+        for mid, spec in REGISTRY.items():
+            kw = {"moment_k": 3, "moment_j": 2} if spec.params is not None else {}
+            prep = prepare(mid, data[spec.d], **kw)
+            if prep.exact_value is None:  # a correlation or skewness of one record
+                continue
             got = prep.run_value(1.0, NoiseSource.zero())
-            assert got == prep.exact_value, (mid, data.n)
+            if mid in _BEYOND_VARIANCE_IDS:
+                assert got == pytest.approx(prep.exact_value, rel=1e-9, abs=1e-12), mid
+            else:
+                assert got == prep.exact_value, (mid, data[spec.d].n)
 
 
 def test_zero_noise_correlation_pipelines_close():
@@ -94,7 +103,7 @@ def test_zero_noise_correlation_pipelines_close():
         want = correlation_exact(data)
         for mid in _CORR_IDS:
             got = prepare(mid, data).run_value(1.0, NoiseSource.zero())
-            assert got == pytest.approx(want, abs=1e-9), mid
+            assert got == want, mid  # bit for bit, as the variances are
 
 
 def test_zero_noise_moment_release_recovers_power_sums():

@@ -112,3 +112,17 @@ def test_perfbench_corruptions_reach_their_workloads(monkeypatch, tmp_path, caps
     argv = ["estimate", "--data", str(data), "--mechanism", "bezier", "--epsilon", "1"]
     assert bezier_dp.cli.main(argv) == 0
     assert calls and calls[0][0] == str(data)
+
+
+def test_mc_grid_correlation_gate_holds_over_fixed_seeds(tmp_path):
+    # perfbench's mc_grid fails an operation when a row's measured MSE is more
+    # than Z_LIMIT standard errors from its prediction; the correlation rows
+    # read `correlated:` data, so a change to that data model can move them
+    # past the gate.  50 operations at full size (n = 1000, 1000 trials).
+    wl = _load("workloads")
+    j = next(i for i, c in enumerate(wl.MC_CONFIGS) if c[0] == "correlation")
+    for seed in range(50):
+        grid = wl.McGrid(bezier_dp, seed, wl.Sizes(), tmp_path)
+        report = grid.op(j)
+        assert [row.trials for row in report.rows] == [1000] * 6
+        assert grid.check(j, report) == [], seed
