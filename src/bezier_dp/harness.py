@@ -43,9 +43,9 @@ from .version import __version__
 # (much smaller) positions of the mechanism in the config list.
 DATA_CHANNEL = 1_000_003
 
-# Most trials drawn as one noise block: a (trials, cells) matrix of at most
-# 10 cells then stays near 5 MB.
-_BLOCK_TRIALS = 1 << 16
+# Most rows, trials times budgets, released by one kernel call: their
+# (rows, cells) noise then stays near 5 MB for at most 10 cells.
+_BLOCK_ROWS = 1 << 16
 
 # Statistics the registry's mechanisms estimate.
 _STATISTICS = sorted({spec.statistic for spec in REGISTRY.values()})
@@ -107,7 +107,7 @@ class ExperimentConfig:
 
     mechanisms: list
     epsilons: list
-    n: int = 100
+    n: int | None = 100
     trials: int = 1000
     statistic: str = "variance"
     distribution: str = "uniform"
@@ -136,6 +136,8 @@ class ExperimentConfig:
         if not cfg.mechanisms:
             raise ConfigError("at least one mechanism is required")
         cfg.mechanisms = [resolve_mechanism(m, cfg.statistic) for m in cfg.mechanisms]
+        if len(set(cfg.mechanisms)) < len(cfg.mechanisms):
+            raise ConfigError(f"each mechanism may be listed once, got {cfg.mechanisms}")
         if not isinstance(cfg.epsilons, (list, tuple)):
             raise ConfigError(f"epsilons must be a list of numbers, got {cfg.epsilons!r}")
         if not cfg.epsilons:
@@ -147,8 +149,8 @@ class ExperimentConfig:
         cfg.trials = _integer(cfg.trials, "trials")
         if cfg.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-        # optional fields are type-checked wherever they are set; the data
-        # and moment fields are dropped (at the end) where the run reads none
+        # optional fields are type-checked wherever they are set; data, moment
+        # and clip fields are dropped (at the end) where the run reads none
         for name, convert in (
             ("dist_param", _number), ("moment_k", _integer), ("moment_j", _integer),
             ("threads", _integer),
@@ -205,8 +207,10 @@ class ExperimentConfig:
             cfg.moment_k = cfg.moment_j = None
         if cfg.distribution not in ("beta", "correlated"):
             cfg.dist_param = None
-        if cfg.distribution != "csv":
-            cfg.csv_path = None
+        if cfg.distribution == "csv":
+            cfg.n = None  # the file sets n
+        else:
+            cfg.csv_path, cfg.clip_input = None, False  # only a file is clipped
         return cfg
 
     def to_json_dict(self) -> dict:
@@ -334,9 +338,7 @@ def _correlated_pair(src: NoiseSource, rho: float, count: int) -> np.ndarray:
     With x, y' and c i.i.d. uniform in (0, 1), y has the law of x and
     cov(x, y) = rho var(x); rho = 1 and rho = 0 need no special case.
     """
-    x = src.uniforms01(count)
-    y = src.uniforms01(count)
-    c = src.uniforms01(count)
+    x, y, c = src.uniforms01(3 * count).reshape(3, count)
     return np.column_stack([x, np.where(c < rho, x, y)])
 
 
@@ -566,23 +568,25 @@ def _resolve_threads(cfg: ExperimentConfig) -> int:
     return (1 if cfg.threads is None else cfg.threads) or os.cpu_count() or 1
 
 
-def _trial_blocks(trials: int, threads: int) -> list[tuple[int, int]]:
+def _trial_blocks(trials: int, threads: int, budgets: int = 1) -> list[tuple[int, int]]:
     """Trial ranges processed as one noise block each.
 
     One thread takes all trials at once; a pool gets several blocks per
-    worker.  Either way a block holds at most _BLOCK_TRIALS trials.
+    worker.  Either way a block holds at most _BLOCK_ROWS // budgets trials.
     """
     per = trials if threads <= 1 else -(-trials // (threads * 8))
-    per = max(1, min(per, _BLOCK_TRIALS))
+    per = max(1, min(per, _BLOCK_ROWS // budgets))
     return [(t0, min(trials, t0 + per)) for t0 in range(0, trials, per)]
 
 
 def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> BenchmarkReport:
     """Run the full mechanism x epsilon grid and aggregate squared errors.
 
-    Trials are processed in blocks.  Per block and mechanism channel, one
-    unit-Laplace matrix holds the first draws of every trial's substream;
-    each epsilon scales it and runs the mechanism once over all rows.
+    Trials are processed in blocks.  Per block, one `derive_seeds` call
+    gives every trial's seed on every channel; per mechanism channel, one
+    unit-Laplace matrix holds the first draws of every trial's substream,
+    and one `run_value` call scales it for every epsilon and releases them
+    all.  Squared errors fill one (mechanisms, epsilons, trials) array.
     """
     cfg = cfg.normalized()
     if cfg.output_path and not os.path.isdir(os.path.dirname(cfg.output_path) or "."):
@@ -599,20 +603,13 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
             f"statistic {cfg.statistic!r} needs d={statistic_dimension(cfg.statistic)} "
             f"data, got d={data0.d}"
         )
-    errors = {
-        (m, e): np.zeros(trials, dtype=np.float64) for m in mechs for e in epss
-    }
+    errors = np.zeros((len(mechs), len(epss), trials), dtype=np.float64)
 
-    def score(m: str, p, t0: int, t1: int, channel: int) -> None:
-        """Squared errors of trials [t0, t1) of mechanism `m` at every epsilon."""
-        if zero_noise:
-            unit = np.zeros((t1 - t0, p.cells))
-        else:
-            seeds = derive_seeds(cfg.base_seed, np.arange(t0, t1, dtype=np.uint64), channel)
-            unit = laplace_rows(seeds, p.cells)
-        for e in epss:
-            diff = p.run_value(e, NoiseRows(unit)) - p.exact_value
-            errors[(m, e)][t0:t1] = diff * diff
+    def score(ch: int, p, t0: int, t1: int, seeds) -> None:
+        """Squared errors of trials [t0, t1) of channel `ch` at every epsilon."""
+        unit = np.zeros((t1 - t0, p.cells)) if zero_noise else laplace_rows(seeds, p.cells)
+        diff = p.run_value(epss, NoiseRows(unit)) - p.exact_value
+        errors[ch, :, t0:t1] = diff * diff
 
     # bound to data0 once: the fixed-data releases and every prediction use it
     prepared = [prepare(m, data0, **kw) for m in mechs]
@@ -625,26 +622,28 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
                 )
 
         def work(block):
-            for ch, (m, p) in enumerate(zip(mechs, prepared)):
-                score(m, p, block[0], block[1], ch)
+            trial_ids = np.arange(*block, dtype=np.uint64)
+            seeds = derive_seeds(cfg.base_seed, trial_ids, range(len(mechs)))
+            for ch, p in enumerate(prepared):
+                score(ch, p, *block, seeds[:, ch])
 
     else:
 
         def work(block):
             trial_ids = np.arange(*block, dtype=np.uint64)
-            seeds = derive_seeds(cfg.base_seed, trial_ids, DATA_CHANNEL)
-            for t, data_seed in zip(range(*block), seeds):
+            seeds = derive_seeds(cfg.base_seed, trial_ids, [*range(len(mechs)), DATA_CHANNEL])
+            for t, row in zip(range(*block), seeds):
                 if t > 0:
-                    data_t = generate_dataset(cfg, int(data_seed))
+                    data_t = generate_dataset(cfg, int(row[-1]))
                 for ch, m in enumerate(mechs):
                     p = prepared[ch] if t == 0 else prepare(m, data_t, **kw)
                     if p.exact_value is None:
                         raise ConfigError(
                             f"{cfg.statistic} undefined on the trial-{t} dataset"
                         )
-                    score(m, p, t, t + 1, ch)
+                    score(ch, p, t, t + 1, row[ch : ch + 1])
 
-    blocks = _trial_blocks(trials, threads)
+    blocks = _trial_blocks(trials, threads, len(epss))
     if threads <= 1 or len(blocks) <= 1:
         for block in blocks:
             work(block)
@@ -653,15 +652,13 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
             list(pool.map(work, blocks))
 
     n_report = data0.n
+    mses = np.mean(errors, axis=-1)
+    spread = np.std(errors, axis=-1, ddof=1) if trials >= 2 else np.zeros_like(mses)
+    std_errors = spread / math.sqrt(trials)
     rows = []
-    for m, p in zip(mechs, prepared):
-        for e in epss:
-            errs = errors[(m, e)]
-            mse = float(np.mean(errs))
-            if trials >= 2:
-                std_error = float(np.std(errs, ddof=1) / math.sqrt(trials))
-            else:
-                std_error = 0.0
+    for i, (m, p) in enumerate(zip(mechs, prepared)):
+        for j, e in enumerate(epss):
+            mse = float(mses[i, j])
             pred = predicted_normalized_mse(p, data0, e)
             rows.append(
                 BenchmarkRow(
@@ -671,14 +668,15 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
                     trials=trials,
                     mse=mse,
                     normalized_mse=float(n_report**2) * mse,
-                    std_error=std_error,
+                    std_error=float(std_errors[i, j]),
                     analytic_prediction=None if pred is None else float(pred),
                 )
             )
+    views = {(m, e): errors[i, j] for i, m in enumerate(mechs) for j, e in enumerate(epss)}
     report = BenchmarkReport(
         config=cfg,
         rows=rows,
-        trial_errors=errors if keep_trial_errors else None,
+        trial_errors=views if keep_trial_errors else None,
     )
     if cfg.output_path:
         try:

@@ -38,9 +38,10 @@ on one draw vector, and ``post`` combines their values.
 `prepare` binds a record to a dataset.  Its kernel maps noise at
 `scale(eps)`, shape (..., cells), to released values, shape (...): one row
 for a single release, a (trials, cells) block for Monte Carlo (see
-`noise.NoiseRows`).  Kernels are elementwise in the trials axis and never
-call BLAS, so a trial's value does not depend on how many trials share the
-call.  With zero noise every mechanism but the four moments beyond the
+`noise.NoiseRows`), and for `run_value` on several budgets that block
+scaled for each, as one block.  Kernels are elementwise in the rows and
+never call BLAS, so a trial's value does not depend on how many rows share
+the call.  With zero noise every mechanism but the four moments beyond the
 variance reproduces the exact statistic bit for bit: s holds the float sums
 the exact statistic is computed from, L maps zero noise to zeros, and
 ``post`` runs the same ratio kernels.  Those four have only power sums, so
@@ -62,7 +63,7 @@ import numpy as np
 
 from .bernstein import _check_dims, bernstein_aggregate, multi_indices, tensor_apply_inverse
 from .errors import DomainError, UndefinedStatisticError
-from .noise import NoiseSource, check_finite_positive
+from .noise import NoiseRows, NoiseSource, check_finite_positive
 from .stats import (
     CENTERED_FOURTH_RANGE,
     CENTERED_THIRD_RANGE,
@@ -141,7 +142,7 @@ class PreparedMechanism:
     (..., cells), to released values, shape (...).  `run_value` and `run`
     draw `source.laplace_vector(scale(eps), cells)` and call the same kernel;
     given a `NoiseRows` block instead of a single source, `run_value` returns
-    one value per row.
+    one value per row, and one row of them per budget for several budgets.
     """
 
     __slots__ = ("spec", "exact_value", "cells", "data", "_sums", "_parts", "_on_edge", "_grad2")
@@ -248,9 +249,16 @@ class PreparedMechanism:
     def _draw(self, eps, source):
         return source.laplace_vector(self.scale(eps), self.cells)
 
-    def run_value(self, eps: float, source):
-        """Just the released value (a float; an array for `NoiseRows`)."""
-        return _as_value(self._release(self._draw(eps, source))[0])
+    def run_value(self, eps, source):
+        """Just the released value: a float, or one per row for `NoiseRows`.
+        A 1-d sequence of budgets (`NoiseRows` only) gives shape (len(eps),
+        rows) from one kernel call, row i bit for bit that of budget eps[i]."""
+        if np.ndim(eps) == 0:
+            return _as_value(self._release(self._draw(eps, source))[0])
+        if not isinstance(source, NoiseRows):
+            raise DomainError("a sequence of budgets needs a NoiseRows block")
+        z = source.laplace_vector([self.scale(e) for e in eps], self.cells)
+        return self._release(z.reshape(-1, self.cells))[0].reshape(z.shape[:-1])
 
     def run(self, eps: float, source: NoiseSource) -> Estimate:
         eps = check_epsilon(eps)

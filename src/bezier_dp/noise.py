@@ -74,20 +74,31 @@ def check_finite_positive(value, what: str) -> float:
     return value
 
 
-def derive_seeds(base_seed: int, trial_indices, channel: int) -> np.ndarray:
-    """64-bit seeds of the (trial, channel) substreams, one per trial index.
+def _check_naturals(values, what: str) -> np.ndarray:
+    """`values` as a uint64 array; DomainError unless all are integers in [0, 2**64)."""
+    a = np.asarray(values)  # dtype object beyond 2**64 - 1
+    if a.dtype.kind not in "iu" or (a.size and a.dtype.kind == "i" and a.min() < 0):
+        raise DomainError(f"{what} must be integers in [0, 2**64), got {values!r}")
+    return a.astype(np.uint64)
 
-    Trial indices are integers in [0, 2**64); the result has their shape,
-    as uint64.
+
+def derive_seeds(base_seed: int, trial_indices, channel) -> np.ndarray:
+    """64-bit seeds of the (trial, channel) substreams, as uint64.
+
+    Trial indices and channels are integers in [0, 2**64).  One channel
+    gives a seed per trial index, in their shape.  An array of channels
+    appends its shape, and entry [..., c] equals the seed of channel c bit
+    for bit; each trial index is hashed once for all channels.
     """
-    t = np.asarray(trial_indices)  # dtype object beyond 2**64 - 1
-    if t.dtype.kind not in "iu" or (t.size and t.dtype.kind == "i" and t.min() < 0):
-        raise DomainError(f"trial indices must be integers in [0, 2**64), got {trial_indices!r}")
-    channel = _check_natural(channel, "channel")
+    t = _check_naturals(trial_indices, "trial indices")
+    if isinstance(channel, (int, np.integer)) or np.ndim(channel) == 0:
+        ch = np.uint64(((_check_natural(channel, "channel") + 1) * _CHANNEL_MULT) & _MASK64)
+    else:
+        ch = (_check_naturals(channel, "channels") + np.uint64(1)) * np.uint64(_CHANNEL_MULT)
+        t = t.reshape(t.shape + (1,) * ch.ndim)
     base = np.uint64((int(base_seed) + _GAMMA) & _MASK64)
-    ch = np.uint64(((channel + 1) * _CHANNEL_MULT) & _MASK64)
     with np.errstate(over="ignore"):
-        h = _mix(base) ^ ((t.astype(np.uint64) + np.uint64(1)) * _U64_GAMMA)
+        h = _mix(base) ^ ((t + np.uint64(1)) * _U64_GAMMA)
         return _mix(_mix(h) ^ ch)
 
 
@@ -221,9 +232,10 @@ class NoiseRows:
 
     `laplace_vector(scale, count)` returns the next `count` columns times
     `scale`, shape (rows, count), so a mechanism run on it releases one value
-    per row.  Built from `laplace_rows` over per-trial substream seeds, row t
-    matches what the substream of trial t would have drawn.  Draws past the
-    last column raise ReplayExhaustedError.
+    per row; a 1-d sequence of scales gives one such block per scale, shape
+    (scales, rows, count).  Built from `laplace_rows` over per-trial
+    substream seeds, row t matches what the substream of trial t would have
+    drawn.  Draws past the last column raise ReplayExhaustedError.
     """
 
     __slots__ = ("_unit", "_pos")
@@ -240,8 +252,9 @@ class NoiseRows:
         """Draws consumed so far in each row."""
         return self._pos
 
-    def laplace_vector(self, scale: float, count: int) -> np.ndarray:
-        scale = check_finite_positive(scale, "Laplace scale")
+    def laplace_vector(self, scale, count: int) -> np.ndarray:
+        scales = [check_finite_positive(b, "Laplace scale") for b in np.ravel(scale)]
+        scale = np.reshape(scales, np.shape(scale) + (1, 1))
         count = _check_natural(count, "count")
         have = self._unit.shape[1] - self._pos
         if count > have:
@@ -251,4 +264,3 @@ class NoiseRows:
         block = self._unit[:, self._pos : self._pos + count]
         self._pos += count
         return block * scale
-

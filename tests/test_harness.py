@@ -161,6 +161,8 @@ def test_config_normalized_happy_path():
         dict(csv_path=3),
         dict(output_path=""),
         dict(distribution="csv", csv_path=""),
+        # one id twice: a report row and its trial errors must name one channel
+        dict(mechanisms=["bezier", "bezier_variance"]),
     ],
 )
 def test_config_normalized_rejects(kw):
@@ -276,6 +278,16 @@ def test_correlated_data():
     assert abs(correlation_exact(pair(0.0, n))) < 0.02
 
 
+def test_correlated_pair_reads_three_consecutive_draws():
+    # x, y' and c come from one uniforms01(3 * n) call; the counters are
+    # contiguous, so the pairs equal those of three uniforms01(n) calls
+    for rho, n in ((0.5, 1), (0.5, 7), (0.3, 1000)):
+        src = NoiseSource.seeded(41)
+        x, y, c = (src.uniforms01(n) for _ in range(3))
+        want = np.column_stack([x, np.where(c < rho, x, y)])
+        assert np.array_equal(harness._correlated_pair(NoiseSource.seeded(41), rho, n), want)
+
+
 # ---------------------------------------------------------------------------
 # CSV loading
 # ---------------------------------------------------------------------------
@@ -385,7 +397,7 @@ def test_run_benchmark_zero_noise_gives_zero_error():
 
 
 def test_run_benchmark_matches_hand_computed_swap_errors():
-    cfg = _cfg(mechanisms=["swap"], epsilons=[2.0], n=10, trials=3)
+    cfg = _cfg(mechanisms=["swap", "naive", "bezier"], epsilons=[2.0, 0.5], n=10, trials=3)
     report = run_benchmark(cfg, keep_trial_errors=True)
     data0 = generate_dataset(cfg.normalized(), derive_seed(0, 0, DATA_CHANNEL))
     exact = variance_exact(data0)
@@ -397,6 +409,12 @@ def test_run_benchmark_matches_hand_computed_swap_errors():
     got = report.trial_errors[("swap_variance", 2.0)]
     assert got.tolist() == want
     assert report.rows[0].mse == float(np.mean(np.asarray(want)))
+    # every row reduces its own trials, as if it were reduced alone
+    assert len(report.rows) == len(report.trial_errors) == 6
+    for row in report.rows:
+        errs = report.trial_errors[(row.mechanism, row.epsilon)].copy()
+        assert row.mse == float(np.mean(errs))
+        assert row.std_error == float(np.std(errs, ddof=1) / np.sqrt(3))
 
 
 def test_run_benchmark_deterministic_and_seed_sensitive():
@@ -465,6 +483,11 @@ def test_trial_blocks_partition():
         blocks = _trial_blocks(trials, threads)
         covered = [t for t0, t1 in blocks for t in range(t0, t1)]
         assert covered == list(range(trials))
+    # every budget releases the block's rows in the same kernel call
+    for budgets in (1, 5, 70000):
+        blocks = _trial_blocks(200_000, 1, budgets)
+        assert blocks[0][0] == 0 and blocks[-1][1] == 200_000
+        assert max(t1 - t0 for t0, t1 in blocks) == max(1, harness._BLOCK_ROWS // budgets)
 
 
 def test_fresh_data_mode_differs_from_fixed():
@@ -512,6 +535,22 @@ def test_sidecar_holds_only_fields_the_run_reads(tmp_path):
         distribution="beta", dist_param="0.3",
     ).normalized()
     assert (kept.dist_param, kept.moment_k, kept.moment_j, kept.csv_path) == (0.3, 3, 1, None)
+    # synthetic data is never clipped, and a file sets n itself; a sidecar
+    # without either still re-runs to the same report
+    data = tmp_path / "three.csv"
+    data.write_text("0.1\n1.5\n0.7\n")
+    for kw, dropped in (
+        (dict(clip_input=True), ("clip_input", False)),
+        (dict(distribution="csv", csv_path=str(data), clip_input=True), ("n", None)),
+    ):
+        out = tmp_path / "dropped.csv"
+        first = run_benchmark(_cfg(n=5, output_path=str(out), **kw))
+        sidecar = tmp_path / "dropped.csv.config.json"
+        cfg = json.loads(sidecar.read_text())["config"]
+        assert cfg[dropped[0]] == dropped[1]
+        again = run_benchmark(ExperimentConfig.from_json_dict(cfg))
+        assert again.rows == first.rows and again.config == first.config
+    assert first.config.clip_input and first.rows[0].n == 3
 
 
 def test_benchmark_report_directory_checked_before_any_trial(tmp_path, monkeypatch):

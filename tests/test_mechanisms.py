@@ -502,6 +502,17 @@ def test_kernel_blocks_match_per_trial_releases(mid, data, kw):
             unit = laplace_rows(derive_seeds(seed, trials, channel), prep.cells)
             assert np.array_equal(prep.kernel(unit * prep.scale(eps)), want[:block]), (eps, block)
             assert np.array_equal(prep.run_value(eps, NoiseRows(unit)), want[:block])
+    # several budgets on one block: one kernel call, each row its budget's own
+    unit = laplace_rows(derive_seeds(seed, np.arange(first, first + 64), channel), prep.cells)
+    for epss in ([0.1, 1.0, 3.0], (2.0,), np.array([0.5, 0.5])):
+        got = prep.run_value(epss, NoiseRows(unit))
+        assert got.shape == (len(epss), 64)
+        for e, row in zip(epss, got):
+            assert np.array_equal(row, prep.run_value(e, NoiseRows(unit)))
+    with pytest.raises(DomainError, match="NoiseRows"):
+        prep.run_value([1.0, 2.0], derive_substream(seed, 0, channel))
+    with pytest.raises(DomainError):
+        prep.run_value([1.0, 0.0], NoiseRows(unit))
     zero = prep.run_value(1.0, NoiseSource.zero())
     for block in (1, 7, 64, 1000):
         got = prep.kernel(np.zeros((block, prep.cells)))

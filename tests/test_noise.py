@@ -241,6 +241,23 @@ def test_derive_seeds_matches_scalar_reference():
             derive_seeds(0, bad_trials, bad_channel)
 
 
+def test_derive_seeds_over_a_channel_array():
+    trials = np.array([[0, 7], [2**63, 2**64 - 1]], dtype=np.uint64)
+    channels = [0, 5, 12, DATA_CHANNEL]
+    for base in (0, 2**64 + 5):
+        for chans in (channels, np.array(channels + [2**64 - 1], dtype=np.uint64), range(3)):
+            got = derive_seeds(base, trials, chans)
+            assert got.dtype == np.uint64 and got.shape == (2, 2, len(chans))
+            for c, channel in enumerate(chans):
+                assert np.array_equal(got[..., c], derive_seeds(base, trials, int(channel)))
+    assert derive_seeds(1, 9, [3, 4]).tolist() == [derive_seed(1, 9, 3), derive_seed(1, 9, 4)]
+    assert derive_seeds(1, np.arange(0), [3, 4]).shape == (0, 2)
+    assert derive_seeds(1, [4, 5], np.arange(0)).shape == (2, 0)
+    for bad in ([0, -1], [1.0], np.array([0.5]), [2**64], ["1"]):
+        with pytest.raises(DomainError, match="channels"):
+            derive_seeds(0, [0, 1], bad)
+
+
 def test_laplace_rows_match_per_stream_draws():
     seeds = derive_seeds(17, np.arange(50), 3)
     unit = laplace_rows(seeds, 9)
@@ -273,6 +290,13 @@ def test_noise_rows_playback():
     rows = NoiseRows(unit)
     assert np.array_equal(rows.laplace_vector(2.0, 3), unit[:, :3] * 2.0)
     assert rows.draws == 3
+    # a sequence of scales stacks one block per scale
+    stacked = NoiseRows(unit).laplace_vector([2.0, 0.5], 3)
+    assert stacked.shape == (2, 4, 3)
+    assert np.array_equal(stacked[0], unit[:, :3] * 2.0)
+    assert np.array_equal(stacked[1], unit[:, :3] * 0.5)
+    with pytest.raises(DomainError):
+        NoiseRows(unit).laplace_vector([1.0, -1.0], 1)
     assert np.array_equal(rows.laplace_vector(1.0, 2), unit[:, 3:])
     with pytest.raises(ReplayExhaustedError):
         rows.laplace_vector(1.0, 1)
