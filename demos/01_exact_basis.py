@@ -19,7 +19,15 @@ then round-trips a real aggregate through the inverse.
 import numpy as np
 
 import bezier_dp as bd
-from bezier_dp.bernstein import matrix_multiply
+
+
+def matrix_multiply(a, b):
+    """Exact product of two square Fraction matrices."""
+    m = len(a)
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(m)) for j in range(m))
+        for i in range(m)
+    )
 
 
 def banner(title):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .noise import derive_seed, derive_seeds, uniforms01_rows
+from .noise import derive_seed, derive_seeds, uniforms01_rows  # noqa: F401 (traced by perfbench)
 from .stats import (
     Dataset,
     covariances,
@@ -96,15 +96,9 @@ def neighbor_pair_block(
 
     # adversarial mixture: uniform, exact 0/1 corners, edge-concentrated
     cat, val, side = coords(0), coords(1), coords(2)
-    recs = np.where(
-        cat < 0.4,
-        val,
-        np.where(
-            cat < 0.7,
-            np.round(val),
-            np.where(side < 0.5, val**8, 1.0 - val**8),
-        ),
-    )
+    edge = val**8
+    edge = np.where(side < 0.5, edge, 1.0 - edge)
+    recs = np.where(cat < 0.4, val, np.where(cat < 0.7, np.round(val), edge))
     Dataset(recs.reshape(-1, d), d=d)  # the range check, once for the block
     base = recs[:, :n].copy()
     if model == "add-remove":
@@ -152,16 +146,19 @@ def empirical_sensitivity(
     """Sample neighbor pairs and track the extremes of the map's L1 difference.
 
     Trial t audits the pair of base size ``sizes[t % len(sizes)]`` drawn
-    from seed ``derive_seed(seed, t, 0)``.  The pairs of one size are
-    generated as one block and mapped by the map's block form
-    (``map_fn.block``, as every built-in map has); any other callable runs
-    once per dataset of the block.  The argmax is the first trial with the
-    largest L1 difference.
+    from seed ``derive_seed(seed, t, 0)``, all derived in one call (`seed`
+    wraps mod 2**64).  Pairs of one size are generated in blocks and mapped
+    by the map's block form ``map_fn.block``, as every built-in map has; any
+    other callable runs once per dataset.  The argmax, the first trial with
+    the largest L1 difference, keeps the records its block drew; a size with
+    no trial reports 0.0.
     """
     if model not in MODELS:
         raise DomainError(f"model must be one of {MODELS}, got {model!r}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise DomainError("need at least one dataset size")
@@ -169,15 +166,21 @@ def empirical_sensitivity(
         if s < 0 or (model == "swap" and s < 1):
             raise DomainError(f"invalid size {s} for model {model!r}")
     ns = np.resize(np.array(sizes), trials)  # base size of each trial
+    seeds = derive_seeds(seed, np.arange(trials), 0)
     l1 = np.empty(trials)
+    by_size = dict.fromkeys(sizes, 0.0)
+    peaks = {}  # trial -> (base, ext) of each block's first maximum; one is the argmax
     block = getattr(map_fn, "block", None) or _per_dataset(map_fn, d)
-    for n in dict.fromkeys(sizes):
+    for n in by_size:
         ts = np.flatnonzero(ns == n)
         step = max(1, _BLOCK_RECORDS // (2 * n + 1))
         for lo in range(0, ts.size, step):
             t = ts[lo : lo + step]
-            base, ext = neighbor_pair_block(n, d, model, derive_seeds(seed, t, 0))
-            l1[t] = np.sum(np.abs(block(ext) - block(base)), axis=-1)
+            base, ext = neighbor_pair_block(n, d, model, seeds[t])
+            l1[t] = v = np.sum(np.abs(block(ext) - block(base)), axis=-1)
+            i = int(np.argmax(v))
+            peaks[int(t[i])] = base[i].copy(), ext[i].copy()
+            by_size[n] = float(np.max(v, initial=by_size[n]))
     top = int(np.argmax(l1))
     return SensitivityReport(
         map_name=map_name,
@@ -185,8 +188,8 @@ def empirical_sensitivity(
         trials=trials,
         max_l1=float(l1[top]),
         min_l1=float(l1.min()),
-        argmax=random_neighbor_pair(int(ns[top]), d, model, derive_seed(seed, top, 0)),
-        by_size={s: float(np.max(l1[ns == s], initial=0.0)) for s in sizes},
+        argmax=NeighborPair(*(Dataset(r, d=d) for r in peaks[top]), model),
+        by_size=by_size,
     )
 
 

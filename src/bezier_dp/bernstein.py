@@ -120,17 +120,6 @@ def bezier_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def matrix_multiply(
-    a: tuple[tuple[Fraction, ...], ...], b: tuple[tuple[Fraction, ...], ...]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact product of two square Fraction matrices (test/verification aid)."""
-    m = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(m)) for j in range(m))
-        for i in range(m)
-    )
-
-
 def _check_dims(k: int, d) -> tuple[int, int]:
     k = _check_degree(k)
     if not isinstance(d, (int, np.integer)) or int(d) < 1:

@@ -9,6 +9,7 @@ problem, 4 capacity limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .audit import builtin_maps, empirical_sensitivity
@@ -42,6 +43,7 @@ EXIT_DATA = 3
 EXIT_CAPACITY = 4
 
 
+@functools.cache  # built once per process: every default is immutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bezier-dp",

@@ -45,12 +45,16 @@ _SCALE = 2.0**-53
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer elementwise on a uint64 array (wrapping arithmetic).
 
-    Callers enter np.errstate(over="ignore") once around it: a context per
-    call costs about as much as mixing a short array.
+    Overwrites `z` and returns it, so callers pass a fresh array (a numpy
+    scalar comes back as a new one).  Callers enter np.errstate(over="ignore")
+    once around it: a context per call costs about as much as mixing a short array.
     """
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= _U64_MIX_A
+    z ^= z >> np.uint64(27)
+    z *= _U64_MIX_B
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
@@ -124,7 +128,11 @@ def _uniform_rows(seeds, count, start: int = 0) -> np.ndarray:
     with np.errstate(over="ignore"):
         bits = _mix(seeds + idx)
     bits >>= np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * _SCALE - 0.5
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= _SCALE
+    u -= 0.5
+    return u
 
 
 def laplace_rows(seeds, count: int) -> np.ndarray:
@@ -142,7 +150,9 @@ def uniforms01_rows(seeds, count: int) -> np.ndarray:
 
     Row i equals `NoiseSource.seeded(seeds[i]).uniforms01(count)` bit for bit.
     """
-    return _uniform_rows(seeds, count) + 0.5
+    u = _uniform_rows(seeds, count)
+    u += 0.5
+    return u
 
 
 class NoiseSource:

@@ -30,9 +30,9 @@ from bezier_dp.bernstein import (
     bernstein_aggregate,
     bezier_inverse,
     bezier_matrix,
-    matrix_multiply,
 )
 from bezier_dp.noise import NoiseSource, derive_seed, derive_seeds
+from exact_matrices import matrix_multiply
 
 _SENS_TOL = 1e-9
 

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from bezier_dp import audit
 from bezier_dp import (
     Dataset,
     DomainError,
@@ -17,6 +18,7 @@ from bezier_dp import (
     builtin_maps,
     covariance_exact,
     derive_seed,
+    derive_seeds,
     empirical_sensitivity,
     neighbor_pair_block,
     random_neighbor_pair,
@@ -169,9 +171,10 @@ def test_random_neighbor_pair_properties():
 
 
 def test_neighbor_pair_block_rows_match_per_stream_pairs():
+    # the reference raises val to the 8th power once per branch of the mixture
     for model, sizes in SIZES.items():
         for n in sizes:
-            for d in (1, 2):
+            for d in (1, 2, 3):
                 base, ext = neighbor_pair_block(n, d, model, list(SEEDS))
                 assert base.shape == (len(SEEDS), n, d)
                 assert ext.shape == (len(SEEDS), n + (model == "add-remove"), d)
@@ -237,6 +240,104 @@ def test_empirical_sensitivity_matches_per_pair_loop(name):
         assert list(rep.by_size.items()) == list(by_size.items())
         assert _same_bits(rep.argmax.base.values, arg_base)
         assert _same_bits(rep.argmax.extended.values, arg_ext)
+
+
+def _per_block_loop(map_fn, model, trials, sizes, seed, d):
+    """(max, min, argmax pair, by_size) from the audit loop as first written.
+
+    Seeds are derived once per block, `by_size` masks every trial per size,
+    and the argmax pair is generated again from its trial's seed.
+    """
+    def per_dataset(values):
+        rows = [np.asarray(map_fn(Dataset(v, d=d)), dtype=np.float64) for v in values]
+        return np.stack([r.reshape(-1) for r in rows])
+
+    ns = np.resize(np.array(sizes), trials)
+    l1 = np.empty(trials)
+    block = getattr(map_fn, "block", None) or per_dataset
+    for n in dict.fromkeys(sizes):
+        ts = np.flatnonzero(ns == n)
+        step = max(1, audit._BLOCK_RECORDS // (2 * n + 1))
+        for lo in range(0, ts.size, step):
+            t = ts[lo : lo + step]
+            base, ext = neighbor_pair_block(n, d, model, derive_seeds(seed, t, 0))
+            l1[t] = np.sum(np.abs(block(ext) - block(base)), axis=-1)
+    top = int(np.argmax(l1))
+    pair = random_neighbor_pair(int(ns[top]), d, model, derive_seed(seed, top, 0))
+    by_size = {s: float(np.max(l1[ns == s], initial=0.0)) for s in sizes}
+    return float(l1[top]), float(l1.min()), pair, by_size
+
+
+def _assert_matches_per_block_loop(map_fn, model, trials, sizes, seed, d):
+    rep = empirical_sensitivity(map_fn, model, trials, sizes, seed=seed, d=d)
+    best, worst, pair, by_size = _per_block_loop(map_fn, model, trials, sizes, seed, d)
+    assert rep.trials == trials and rep.model == model
+    assert _same_bits(rep.max_l1, best) and _same_bits(rep.min_l1, worst)
+    assert list(rep.by_size) == list(by_size)
+    assert all(_same_bits(rep.by_size[s], by_size[s]) for s in by_size)
+    assert rep.argmax.model == pair.model
+    assert _same_bits(rep.argmax.base.values, pair.base.values)
+    assert _same_bits(rep.argmax.extended.values, pair.extended.values)
+    return rep
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_empirical_sensitivity_matches_per_block_loop(name):
+    fn, model, d, _ref = REFERENCE_MAPS[name]
+    for seed in SEEDS + (2401,):
+        for trials in (1, 5, 600):
+            _assert_matches_per_block_loop(fn, model, trials, SIZES[model], seed, d)
+
+
+def _count_map(data):
+    """[n]: every add-remove pair has L1 exactly 1, every swap pair 0."""
+    return np.array([float(data.n)])
+
+
+_count_map.block = lambda values: np.full((values.shape[0], 1), float(values.shape[1]))
+
+
+@pytest.mark.parametrize("model", audit.MODELS)
+def test_empirical_sensitivity_edge_cases_match_per_block_loop(model):
+    sizes = SIZES[model]
+    uvar = unnormalized_variance_map if model == "add-remove" else swap_variance_map
+    # a constant L1: the argmax is trial 0, whatever block maps it
+    for seed in SEEDS:
+        rep = _assert_matches_per_block_loop(_count_map, model, 50, sizes[::-1], seed, 1)
+        assert rep.max_l1 == rep.min_l1 == (1.0 if model == "add-remove" else 0.0)
+        first = random_neighbor_pair(sizes[-1], 1, model, derive_seed(seed, 0, 0))
+        assert _same_bits(rep.argmax.extended.values, first.extended.values)
+    # fewer trials than sizes: the sizes without a trial report 0.0
+    rep = _assert_matches_per_block_loop(uvar, model, 2, sizes, 3, 1)
+    assert all(rep.by_size[s] == 0.0 for s in sizes[2:])
+    # duplicate sizes keep their first position
+    dup = [sizes[2], sizes[0], sizes[2], 100, sizes[0]]
+    rep = _assert_matches_per_block_loop(uvar, model, 37, dup, 5, 1)
+    assert list(rep.by_size) == list(dict.fromkeys(dup))
+    # a map without `.block`, mapped one dataset at a time
+    for seed in SEEDS:
+        _assert_matches_per_block_loop(_custom_map, model, 23, sizes, seed, 1)
+    # n = 100 spans several blocks
+    assert audit._BLOCK_RECORDS // 201 < 200
+    for fn, d in ((uvar, 1), (bernstein_map(2, 2), 2)):
+        for seed in SEEDS:
+            _assert_matches_per_block_loop(fn, model, 200, [100], seed, d)
+
+
+def test_empirical_sensitivity_rejects_non_integer_trials_and_seeds():
+    fn = unnormalized_variance_map
+    for trials in (2.5, 3.0, True, "5", None):
+        with pytest.raises(DomainError, match="trials"):
+            empirical_sensitivity(fn, "add-remove", trials, [1, 2])
+    for seed in (1.5, 2.0, True, "7", None):
+        with pytest.raises(DomainError, match="seed"):
+            empirical_sensitivity(fn, "add-remove", 5, [1, 2], seed=seed)
+    # numpy integers are integers, and seeds wrap mod 2**64
+    want = empirical_sensitivity(fn, "add-remove", 40, [0, 5], seed=2**64 - 1)
+    for seed in (-1, np.uint64(2**64 - 1), 2**65 - 1):
+        rep = empirical_sensitivity(fn, "add-remove", np.int64(40), [0, 5], seed=seed)
+        assert rep.max_l1 == want.max_l1 and rep.by_size == want.by_size
+        assert _same_bits(rep.argmax.extended.values, want.argmax.extended.values)
 
 
 def test_mixture_hits_corners_and_interior():

@@ -18,7 +18,8 @@ from bezier_dp import (
     multi_indices,
     tensor_apply_inverse,
 )
-from bezier_dp.bernstein import MAX_DEGREE, binomial, matrix_multiply
+from bezier_dp.bernstein import MAX_DEGREE, binomial
+from exact_matrices import matrix_multiply
 
 # Oracles: the definitions written out one point and one cell at a time.
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from bezier_dp import __version__, sigma_lower_bound, variance_exact, Dataset
+from bezier_dp import __version__, cli, sigma_lower_bound, variance_exact, Dataset
 from bezier_dp.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 
@@ -432,3 +432,28 @@ def test_degree_over_the_limit_is_a_capacity_error_everywhere(data_csv, capsys):
     assert main(["estimate", "--data", data_csv, "--mechanism", "moment:99:0",
                  "--epsilon", "1"]) == EXIT_CAPACITY
     assert capsys.readouterr().err.count("exceeds the supported maximum 60") == 2
+
+
+def test_consecutive_calls_match_one_shot_calls(data_csv, pair_csv, capsys):
+    # the parser is built once per process; no call may leak into the next
+    calls = [
+        ["estimate", "--data", data_csv, "--mechanism", "bezier", "--epsilon", "1",
+         "--seed", "3"],
+        ["audit", "--map", "ucov", "--trials", "40", "--seed", "2"],
+        ["estimate", "--data", pair_csv, "--mechanism", "naive_cov", "--epsilon", "0.5",
+         "--noise", "zero", "--show-aggregates"],
+        ["theory", "sigma", "--epsilon", "0.5,1"],
+        ["audit", "--map", "bernstein", "--k", "3", "--trials", "30"],
+        ["theory", "moment", "--k", "2", "--j", "5", "--epsilon", "1"],  # a config error
+        ["audit", "--map", "swap_variance", "--trials", "25"],
+    ]
+    one_shot = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        rc = main(argv)
+        one_shot.append((rc, capsys.readouterr()))
+    cli._build_parser.cache_clear()
+    for argv, want in zip(calls, one_shot):
+        rc = main(argv)
+        assert (rc, capsys.readouterr()) == want, argv
+    assert cli._build_parser.cache_info().misses == 1

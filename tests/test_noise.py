@@ -285,6 +285,24 @@ def test_uniforms01_rows_match_per_stream_draws():
         uniforms01_rows(seeds, -1)
 
 
+def test_block_draws_leave_their_inputs_unmodified():
+    # the SplitMix64 kernel works in place, on arrays of its own only
+    trials = [np.arange(50, dtype=np.uint64), np.arange(50), np.arange(12).reshape(3, 4)]
+    channels = np.array([0, 1, DATA_CHANNEL], dtype=np.uint64)
+    for t in trials:
+        before = t.copy()
+        derive_seeds(9, t, 0)
+        derive_seeds(9, t, channels)
+        assert np.array_equal(t, before) and t.dtype == before.dtype
+    assert np.array_equal(channels, [0, 1, DATA_CHANNEL])
+    for seeds in (derive_seeds(3, np.arange(40), 0), derive_seeds(3, np.arange(6), 0)[0]):
+        before = seeds.copy()
+        for draw in (laplace_rows, uniforms01_rows):
+            rows = draw(seeds, 606)
+            assert np.array_equal(seeds, before)
+            assert not np.shares_memory(rows, seeds)
+
+
 def test_noise_rows_playback():
     unit = laplace_rows(derive_seeds(1, np.arange(4), 0), 5)
     rows = NoiseRows(unit)
