@@ -362,6 +362,15 @@ def generate_dataset(cfg: ExperimentConfig, trial_seed: int) -> Dataset:
 # numpy strips these around a number as whitespace; float() rejects them
 _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
+# The plain-decimal tier needs x87 extended precision: a 64-bit significand in
+# the low 8 bytes of a 16-byte little-endian slot.  Elsewhere np.loadtxt reads.
+_X87_LONGDOUBLE = (np.finfo(np.longdouble).nmant == 63 and np.little_endian
+                   and np.dtype(np.longdouble).itemsize == 16)
+_TEN = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))  # 10**q, exact for q <= 27
+_DIGITS = bytes.maketrans(b"\neE+-", b",0000")  # a field's text without "." -> D
+_CHUNK = 1 << 18  # plain-decimal blocks end at the first LF past this many bytes
+_MAX_REREAD_SHARE = 1 / 64  # more sign and exponent bytes: float() re-reads cost more than loadtxt
+
 
 def load_csv_dataset(path: str, clip_input: bool = False) -> Dataset:
     """Read a numeric CSV (optional header) into a Dataset.
@@ -370,7 +379,8 @@ def load_csv_dataset(path: str, clip_input: bool = False) -> Dataset:
     Blank lines are skipped and a UTF-8 byte-order mark is accepted.  The
     first non-blank row is a header when none of its cells parses as a
     float; a row that mixes numbers and labels is an error.  A well-formed
-    file is parsed by one np.loadtxt call; anything else goes to the
+    file is read as integers where it holds plain decimals (`_plain_decimals`)
+    and by one np.loadtxt call otherwise; anything else goes to the
     row-by-row parser, which gives the same array or raises
     DataFormatError naming the file line (counting blank lines and the
     header) of the first problem.
@@ -391,21 +401,25 @@ def _parse_float(cell: str) -> float | None:
 def _load_csv_fast(path: str, clip_input: bool) -> np.ndarray | None:
     """The array of a well-formed file, or None to leave it to the row parser.
 
-    None covers every case this path does not settle: an unreadable file, a
+    Plain decimals take `_plain_decimals` on x87 platforms, other files
+    np.loadtxt.  None covers every case neither settles: an unreadable file, a
     first row that is not plainly a header or plainly numbers, anything
     np.loadtxt rejects or warns about, and a non-finite or (without
     `clip_input`) out-of-range value.
     """
     try:
-        skip = _csv_lines_before_data(path)
-        if skip is None:
+        head = _csv_lines_before_data(path)
+        if head is None:
             return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            arr = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
-                encoding="utf-8-sig", skiprows=skip,
-            )
+        raw, skip, offset = head
+        arr = _plain_decimals(raw, offset) if _X87_LONGDOUBLE and offset is not None else None
+        if arr is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                arr = np.loadtxt(
+                    path, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                    encoding="utf-8-sig", skiprows=skip,
+                )
     except (OSError, ValueError, UserWarning):
         return None
     if not np.isfinite(arr).all():
@@ -417,13 +431,14 @@ def _load_csv_fast(path: str, clip_input: bool) -> np.ndarray | None:
     return arr
 
 
-def _csv_lines_before_data(path: str) -> int | None:
-    """Lines before the first data row (blank lines, then a header if any).
+def _csv_lines_before_data(path: str) -> tuple[bytes, int, int | None] | None:
+    """(file bytes, lines before the first data row, byte offset of that row).
 
-    None where the row parser must decide: no non-blank row, a first row
-    that mixes numbers and labels, quoting, a character that numpy and
-    float() read differently, or a line longer than the csv module's field
-    limit (np.loadtxt has none).
+    The lines are blank lines, then a header if any; the offset is None when
+    a CR ends one of them.  None where the row parser must decide: no
+    non-blank row, a first row that mixes numbers and labels, quoting, a
+    character that numpy and float() read differently, or a line longer than
+    the csv module's field limit (np.loadtxt has none).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -443,10 +458,69 @@ def _csv_lines_before_data(path: str) -> int | None:
         return None
     parsed = [_parse_float(c) for c in cells]
     if all(v is None for v in parsed):
-        return skip + 1  # header line
-    if any(v is None for v in parsed):
+        skip += 1  # header line
+    elif any(v is None for v in parsed):
         return None
-    return skip
+    offset = 3 if raw.startswith(b"\xef\xbb\xbf") else 0  # past a byte-order mark
+    for _ in range(skip):
+        offset = raw.find(b"\n", offset) + 1 or len(raw)
+    return raw, skip, None if b"\r" in raw[:offset] else offset
+
+
+def _plain_decimals(raw: bytes, offset: int) -> np.ndarray | None:
+    """float() of each cell of `raw[offset:]`, or None if it is not plain decimals.
+
+    D / 10**q (digits D < 10**19, q <= 27 fraction digits) has exact operands
+    and rounds once to the x87 64-bit significand; rounding that to double
+    gives float() unless it lands exactly on a midpoint between doubles.  Such
+    fields and those with a sign or an exponent are re-read by float().  A
+    malformed field or a ragged file raises ValueError.
+    """
+    blocks = []
+    while offset < len(raw):
+        end = raw.find(b"\n", offset + _CHUNK) + 1 or len(raw)
+        text = raw[offset:end] if raw[end - 1] == 10 else raw[offset:end] + b"\n"
+        blocks.append(_plain_decimal_block(text))
+        if blocks[-1] is None:
+            return None
+        offset = end
+    return np.concatenate(blocks) if blocks else None
+
+
+def _plain_decimal_block(text: bytes) -> np.ndarray | None:
+    """The (lines, fields) array of whole LF-ended lines of equal width, or None."""
+    other = text.translate(None, b"0123456789.,\n")
+    if other.translate(None, b"eE+-") or len(other) > len(text) * _MAX_REREAD_SHARE:
+        return None  # spaces, CR, letters, quotes, or too many signs and exponents
+    buf = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(buf <= 44)  # the "," or LF after each field, and any "+"
+    ends = ends[buf[ends] != 43] if b"+" in other else ends
+    at_lf = buf[ends] == 10
+    width = int(at_lf.argmax()) + 1
+    if ends.size != at_lf.sum() * width or not at_lf[width - 1::width].all():
+        return None  # a line of another width
+    starts = np.r_[0, ends[:-1] + 1]
+    digits = ends - starts
+    dots = np.flatnonzero(buf == 46)
+    field = np.searchsorted(ends, dots)
+    digits[field] -= 1
+    if digits.min() < 1 or (np.diff(field) == 0).any():
+        return None  # an empty field, a lone "." or two dots in a field
+    q = np.zeros(ends.size, dtype=np.intp)
+    q[field] = ends[field] - dots - 1
+    d = np.fromstring(text.translate(_DIGITS, b"."), dtype=np.uint64, sep=",")
+    redo = q > 27
+    if other:
+        marks = np.flatnonzero(((buf | 32) == 101) | (buf == 43) | (buf == 45))
+        redo[np.searchsorted(ends, marks)] = True
+    if d[~redo].max(initial=0) >= 10**19:
+        return None  # np.fromstring saturates at 2**64 - 1
+    quotient = d.astype(np.longdouble) / _TEN[np.minimum(q, 27)]
+    x = quotient.astype(np.float64)
+    redo |= (quotient.view(np.uint64)[::2] & 2047) == 1024  # 53-bit midpoints
+    idx = np.flatnonzero(redo)
+    x[idx] = [float(text[a:b]) for a, b in zip(starts[idx].tolist(), ends[idx].tolist())]
+    return x.reshape(-1, width)
 
 
 def _has_line_over(raw: bytes, limit: int) -> bool:

@@ -37,6 +37,37 @@ def test_package_all_names_resolve():
     assert not missing
 
 
+# the 72 public names `from bezier_dp import *` binds
+_PUBLIC_NAMES = set("""
+    BenchmarkReport BenchmarkRow BezierDPError CORRELATION_RANGE COVARIANCE_RANGE
+    CapacityError ClipRange ConfigError DATA_CHANNEL DataFormatError Dataset DomainError
+    Estimate ExperimentConfig InstanceConstants MAX_DEGREE MAX_VECTOR_LEN MECHANISM_IDS
+    NeighborPair NoiseRows NoiseSource PreparedMechanism ReplayExhaustedError
+    SensitivityReport UndefinedStatisticError VARIANCE_RANGE __version__ basis_matrix
+    basis_spec bernstein_aggregate bernstein_map bezier_inverse bezier_matrix
+    bezier_release builtin_maps correlation_exact covariance_exact
+    covariance_instance_constant derive_seed derive_seeds derive_substream
+    empirical_sensitivity feasible_rxy_bounds generate_dataset instance_constants
+    inverse_row_weight laplace_rows load_csv_dataset moment_release_mse
+    moments_unnormalized multi_indices neighbor_pair_block parse_distribution
+    predicted_normalized_mse prepare prepare_moment_release random_neighbor_pair
+    resolve_mechanism run_benchmark run_estimate sigma_lower_bound standardized_moment
+    statistic_dimension swap_covariance_map swap_variance_map tensor_apply_inverse
+    transformed_pair_map uniforms01_rows unnormalized_covariance_map
+    unnormalized_variance_map variance_exact worst_case_table
+""".split())
+
+
+def test_star_import_binds_the_pinned_names():
+    # `__all__` is derived from the package's imports, so a new import or a
+    # dropped one changes it; this pins the set
+    namespace = {}
+    exec("from bezier_dp import *", namespace)
+    assert len(_PUBLIC_NAMES) == 72
+    assert set(bezier_dp.__all__) == _PUBLIC_NAMES
+    assert set(namespace) - {"__builtins__"} == _PUBLIC_NAMES
+
+
 def test_prediction_span_covers_what_run_benchmark_pays(monkeypatch):
     # perfbench times `harness.predicted_normalized_mse` as the span
     # theory.predicted_normalized_mse: one call per report row, with every
