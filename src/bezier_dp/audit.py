@@ -99,7 +99,7 @@ def neighbor_pair_block(
     edge = val**8
     edge = np.where(side < 0.5, edge, 1.0 - edge)
     recs = np.where(cat < 0.4, val, np.where(cat < 0.7, np.round(val), edge))
-    Dataset(recs.reshape(-1, d), d=d)  # the range check, once for the block
+    Dataset(recs, d=d)  # the range check, once for the block
     base = recs[:, :n].copy()
     if model == "add-remove":
         return base, recs

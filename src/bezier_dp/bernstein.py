@@ -213,7 +213,8 @@ def tensor_apply_inverse(k: int, d: int, vec: np.ndarray, offset=None) -> np.nda
     with an entry of exactly 1 are skipped, which changes no bit), so a
     row's result does not depend on how many rows are passed with it.
 
-    `offset`, a vector of length (k+1)^d, is added to every row's result
+    `offset`, shape (..., (k+1)^d) and broadcastable against the rows of
+    `vec` (one vector for all rows, or one per row), is added to the result
     as its last step: ``offset + M^-1 vec``, the noisy power sums of a
     release whose exact sums are `offset` and whose basis noise is `vec`.
     """
@@ -228,14 +229,16 @@ def tensor_apply_inverse(k: int, d: int, vec: np.ndarray, offset=None) -> np.nda
     shape = (k + 1,) * d + lead
     # cells first, rows last (a view, no copy): each output slice below is
     # then contiguous in the rows
-    t = vec.T if len(lead) <= 1 else np.moveaxis(vec, -1, 0)
+    t = vec.T if len(lead) <= 1 else vec.transpose(-1, *range(len(lead)))
     if d > 1:
         t = t.reshape(shape)
     if offset is not None:
-        # one offset per output slice of the last pass: a 0-d array for d=1
-        # (the cheapest operand), else broadcast along the rows
-        keep = (1,) * len(lead) if d > 1 else ()
-        offset = np.asarray(offset, dtype=np.float64).reshape((k + 1,) * d + keep)
+        # cells first like t, its rows aligned with t's last: one per output
+        # slice of the last pass (for one vector and d=1, a cheap 0-d array)
+        offset = np.asarray(offset, dtype=np.float64)
+        rows = offset.shape[:-1]
+        keep = rows if d == 1 else (1,) * (len(lead) - len(rows)) + rows
+        offset = offset.transpose(-1, *range(len(rows))).reshape((k + 1,) * d + keep)
     for p, rows in enumerate(passes, start=1 - len(passes)):
         off = offset if p == 0 else None
         out = np.empty(shape)
@@ -257,4 +260,4 @@ def tensor_apply_inverse(k: int, d: int, vec: np.ndarray, offset=None) -> np.nda
         t = out
     if d > 1:
         t = t.reshape((cells,) + lead)
-    return t.T if len(lead) <= 1 else np.moveaxis(t, 0, -1)
+    return t.T if len(lead) <= 1 else t.transpose(*range(1, t.ndim), 0)

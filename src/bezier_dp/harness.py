@@ -3,9 +3,12 @@
 Reproducibility contract: every noise draw in trial t of mechanism channel
 ch comes from the substream (base_seed, t, ch) -- the same draws, scaled, at
 every epsilon -- and synthetic data for trial t from (base_seed, t,
-DATA_CHANNEL).  Per-trial squared errors are written into preallocated slots
-indexed by trial and reduced in a fixed order, so a report depends only on
-the config -- not on thread count, block size or scheduling.
+DATA_CHANNEL).  Trials run in blocks through one engine: fixed data binds
+each mechanism to one dataset once, fresh data draws a block's datasets as
+one (trials, n, d) block and binds each mechanism to it once.  Per-trial
+squared errors are written into preallocated slots indexed by trial and
+reduced in a fixed order, so a report depends only on the config -- not on
+thread count, block size or scheduling.
 
 Report CSVs carry both the raw MSE and the normalized MSE n^2 * MSE; the
 attached analytic predictions always live on the normalized scale.
@@ -20,12 +23,11 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, DomainError
 from .mechanisms import REGISTRY, prepare
 from .noise import (
     NoiseRows,
@@ -34,6 +36,7 @@ from .noise import (
     derive_seeds,
     derive_substream,
     laplace_rows,
+    uniforms01_rows,
 )
 from .stats import Dataset
 from .theory import predicted_normalized_mse
@@ -46,6 +49,8 @@ DATA_CHANNEL = 1_000_003
 # Most rows, trials times budgets, released by one kernel call: their
 # (rows, cells) noise then stays near 5 MB for at most 10 cells.
 _BLOCK_ROWS = 1 << 16
+# Most record values, trials times n * d, in one block of fresh datasets.
+_BLOCK_VALUES = 1 << 19
 
 # Statistics the registry's mechanisms estimate.
 _STATISTICS = sorted({spec.statistic for spec in REGISTRY.values()})
@@ -332,31 +337,33 @@ def _beta_column(src: NoiseSource, r: float, count: int) -> np.ndarray:
     return np.where(good, ga / np.where(good, tot, 1.0), r)
 
 
-def _correlated_pair(src: NoiseSource, rho: float, count: int) -> np.ndarray:
-    """Uniform pairs of correlation rho: y = x where c < rho, else a fresh y'.
+def _synthetic(cfg: ExperimentConfig, seeds) -> np.ndarray:
+    """Records (len(seeds), n, d): dataset i drawn from the stream seeded seeds[i].
 
-    With x, y' and c i.i.d. uniform in (0, 1), y has the law of x and
-    cov(x, y) = rho var(x); rho = 1 and rho = 0 need no special case.
+    `correlated:` pairs read x, y' and c, n uniforms each: y = x where c <
+    rho, else y', so y has the law of x and cov(x, y) = rho var(x).  `beta:`
+    runs a rejection loop, with its data-dependent draw count, per stream.
     """
-    x, y, c = src.uniforms01(3 * count).reshape(3, count)
-    return np.column_stack([x, np.where(c < rho, x, y)])
+    n, d = int(cfg.n), statistic_dimension(cfg.statistic)
+    if cfg.distribution == "uniform":
+        return uniforms01_rows(seeds, n * d).reshape(-1, n, d)
+    if cfg.distribution == "correlated":
+        x, y, c = uniforms01_rows(seeds, 3 * n).reshape(-1, 3, n).transpose(1, 0, 2)
+        return np.stack([x, np.where(c < float(cfg.dist_param), x, y)], axis=-1)
+    if cfg.distribution == "beta":
+        sources = [NoiseSource.seeded(seed) for seed in np.asarray(seeds).tolist()]
+        r = float(cfg.dist_param)
+        return np.stack([
+            np.column_stack([_beta_column(src, r, n) for _ in range(d)]) for src in sources
+        ])
+    raise ConfigError(f"unknown distribution {cfg.distribution!r}")
 
 
 def generate_dataset(cfg: ExperimentConfig, trial_seed: int) -> Dataset:
     """Synthetic dataset for one trial (csv configs load the file instead)."""
-    d = statistic_dimension(cfg.statistic)
     if cfg.distribution == "csv":
         return load_csv_dataset(cfg.csv_path, clip_input=cfg.clip_input)
-    src = NoiseSource.seeded(trial_seed)
-    n = int(cfg.n)
-    if cfg.distribution == "uniform":
-        return Dataset(src.uniforms01(n * d).reshape(n, d), d=d)
-    if cfg.distribution == "beta":
-        cols = [_beta_column(src, float(cfg.dist_param), n) for _ in range(d)]
-        return Dataset(np.column_stack(cols), d=d)
-    if cfg.distribution == "correlated":
-        return Dataset(_correlated_pair(src, float(cfg.dist_param), n), d=2)
-    raise ConfigError(f"unknown distribution {cfg.distribution!r}")
+    return Dataset(_synthetic(cfg, np.array([int(trial_seed) % (1 << 64)], dtype=np.uint64))[0])
 
 
 # numpy strips these around a number as whitespace; float() rejects them
@@ -385,10 +392,8 @@ def load_csv_dataset(path: str, clip_input: bool = False) -> Dataset:
     DataFormatError naming the file line (counting blank lines and the
     header) of the first problem.
     """
-    arr = _load_csv_fast(path, clip_input)
-    if arr is None:
-        arr = _load_csv_rows(path, clip_input)
-    return Dataset(arr)
+    data = _load_csv_fast(path, clip_input)
+    return Dataset(_load_csv_rows(path, clip_input)) if data is None else data
 
 
 def _parse_float(cell: str) -> float | None:
@@ -398,14 +403,14 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
-def _load_csv_fast(path: str, clip_input: bool) -> np.ndarray | None:
-    """The array of a well-formed file, or None to leave it to the row parser.
+def _load_csv_fast(path: str, clip_input: bool) -> Dataset | None:
+    """The Dataset of a well-formed file, or None to leave it to the row parser.
 
     Plain decimals take `_plain_decimals` on x87 platforms, other files
     np.loadtxt.  None covers every case neither settles: an unreadable file, a
     first row that is not plainly a header or plainly numbers, anything
-    np.loadtxt rejects or warns about, and a non-finite or (without
-    `clip_input`) out-of-range value.
+    np.loadtxt rejects or warns about, and a value Dataset rejects (non-finite
+    or, without `clip_input`, out of range), which its one scan finds.
     """
     try:
         head = _csv_lines_before_data(path)
@@ -422,13 +427,12 @@ def _load_csv_fast(path: str, clip_input: bool) -> np.ndarray | None:
                 )
     except (OSError, ValueError, UserWarning):
         return None
-    if not np.isfinite(arr).all():
+    if clip_input and np.isfinite(arr).all():  # an infinity stays for Dataset to reject
+        arr = np.clip(arr, 0.0, 1.0)
+    try:
+        return Dataset(arr)
+    except DomainError:
         return None
-    if clip_input:
-        return np.clip(arr, 0.0, 1.0)
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        return None
-    return arr
 
 
 def _csv_lines_before_data(path: str) -> tuple[bytes, int, int | None] | None:
@@ -638,18 +642,26 @@ class BenchmarkReport:
 
 
 def _resolve_threads(cfg: ExperimentConfig) -> int:
-    """Worker count: the config's, 1 when unset, every core for 0."""
-    return (1 if cfg.threads is None else cfg.threads) or os.cpu_count() or 1
+    """Worker count: the config's, 1 when unset, every core for 0, at most every core."""
+    if cfg.threads in (None, 1):
+        # no os.cpu_count(): it reads the system's CPU list, tens of microseconds
+        return 1
+    cores = os.cpu_count() or 1
+    return min(cfg.threads or cores, cores)
 
 
-def _trial_blocks(trials: int, threads: int, budgets: int = 1) -> list[tuple[int, int]]:
-    """Trial ranges processed as one noise block each.
+def _trial_blocks(
+    trials: int, threads: int, budgets: int = 1, values: int = 0
+) -> list[tuple[int, int]]:
+    """Trial ranges processed as one block each.
 
     One thread takes all trials at once; a pool gets several blocks per
-    worker.  Either way a block holds at most _BLOCK_ROWS // budgets trials.
+    worker.  Either way a block holds at most _BLOCK_ROWS // budgets trials,
+    and at most _BLOCK_VALUES // values where each trial draws `values`
+    record values (fresh data; fixed data draws none).
     """
     per = trials if threads <= 1 else -(-trials // (threads * 8))
-    per = max(1, min(per, _BLOCK_ROWS // budgets))
+    per = max(1, min(per, _BLOCK_ROWS // budgets, _BLOCK_VALUES // max(values, 1)))
     return [(t0, min(trials, t0 + per)) for t0 in range(0, trials, per)]
 
 
@@ -657,10 +669,12 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
     """Run the full mechanism x epsilon grid and aggregate squared errors.
 
     Trials are processed in blocks.  Per block, one `derive_seeds` call
-    gives every trial's seed on every channel; per mechanism channel, one
-    unit-Laplace matrix holds the first draws of every trial's substream,
-    and one `run_value` call scales it for every epsilon and releases them
-    all.  Squared errors fill one (mechanisms, epsilons, trials) array.
+    gives every trial's seed on every channel; with fresh data, the block's
+    datasets are drawn as one (trials, n, d) block and every mechanism is
+    prepared once on it.  Per mechanism channel, one unit-Laplace matrix
+    holds the first draws of every trial's substream, and one `run_value`
+    call scales it for every epsilon and releases them all.  Squared errors
+    fill one (mechanisms, epsilons, trials) array.
     """
     cfg = cfg.normalized()
     if cfg.output_path and not os.path.isdir(os.path.dirname(cfg.output_path) or "."):
@@ -679,49 +693,33 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
         )
     errors = np.zeros((len(mechs), len(epss), trials), dtype=np.float64)
 
-    def score(ch: int, p, t0: int, t1: int, seeds) -> None:
-        """Squared errors of trials [t0, t1) of channel `ch` at every epsilon."""
-        unit = np.zeros((t1 - t0, p.cells)) if zero_noise else laplace_rows(seeds, p.cells)
-        diff = p.run_value(epss, NoiseRows(unit)) - p.exact_value
-        errors[ch, :, t0:t1] = diff * diff
-
     # bound to data0 once: the fixed-data releases and every prediction use it
     prepared = [prepare(m, data0, **kw) for m in mechs]
     if want_fixed:
-        for m, p in zip(mechs, prepared):
-            if p.exact_value is None:
-                raise ConfigError(
-                    f"{cfg.statistic} is undefined on the benchmark dataset; "
-                    f"cannot score {m}"
-                )
+        _require_exact(cfg, prepared, data0, kw)
+    channels = [*range(len(mechs))] + ([] if want_fixed else [DATA_CHANNEL])
 
-        def work(block):
-            trial_ids = np.arange(*block, dtype=np.uint64)
-            seeds = derive_seeds(cfg.base_seed, trial_ids, range(len(mechs)))
-            for ch, p in enumerate(prepared):
-                score(ch, p, *block, seeds[:, ch])
+    def work(block):
+        """Squared errors of trials [t0, t1) on every channel at every epsilon."""
+        t0, t1 = block
+        seeds = derive_seeds(cfg.base_seed, np.arange(t0, t1, dtype=np.uint64), channels)
+        bound = prepared
+        if not want_fixed:  # the block's own datasets
+            data = Dataset(_synthetic(cfg, seeds[:, -1]))
+            bound = [prepare(m, data, **kw) for m in mechs]
+            _require_exact(cfg, bound, data, kw, t0)
+        for ch, p in enumerate(bound):
+            cells = p.cells
+            unit = np.zeros((t1 - t0, cells)) if zero_noise else laplace_rows(seeds[:, ch], cells)
+            diff = p.run_value(epss, NoiseRows(unit)) - p.exact_value
+            errors[ch, :, t0:t1] = diff * diff
 
-    else:
-
-        def work(block):
-            trial_ids = np.arange(*block, dtype=np.uint64)
-            seeds = derive_seeds(cfg.base_seed, trial_ids, [*range(len(mechs)), DATA_CHANNEL])
-            for t, row in zip(range(*block), seeds):
-                if t > 0:
-                    data_t = generate_dataset(cfg, int(row[-1]))
-                for ch, m in enumerate(mechs):
-                    p = prepared[ch] if t == 0 else prepare(m, data_t, **kw)
-                    if p.exact_value is None:
-                        raise ConfigError(
-                            f"{cfg.statistic} undefined on the trial-{t} dataset"
-                        )
-                    score(ch, p, t, t + 1, row[ch : ch + 1])
-
-    blocks = _trial_blocks(trials, threads, len(epss))
+    blocks = _trial_blocks(trials, threads, len(epss), 0 if want_fixed else data0.n * data0.d)
     if threads <= 1 or len(blocks) <= 1:
         for block in blocks:
             work(block)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
 
@@ -759,6 +757,20 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
         except OSError as exc:
             raise ConfigError(f"cannot write report {cfg.output_path}: {exc}") from exc
     return report
+
+
+def _require_exact(cfg: ExperimentConfig, bound: list, data: Dataset, kw: dict, t0=None):
+    """ConfigError where a mechanism bound to `data` has no exact value; with
+    `t0`, `data` holds the datasets of trials t0, t0 + 1, ... and the error
+    names the first without the statistic."""
+    for m, p in zip(cfg.mechanisms, bound):
+        if p.exact_value is None:
+            where = "the benchmark dataset"
+            if t0 is not None:
+                t = next(t for t, records in enumerate(data.values, t0)
+                         if prepare(m, Dataset(records), **kw).exact_value is None)
+                where = f"the trial-{t} dataset"
+            raise ConfigError(f"{cfg.statistic} is undefined on {where}; cannot score {m}")
 
 
 def run_estimate(

@@ -21,7 +21,8 @@ the harness all read it there.  A record holds:
 
   * its statistic, data dimension d, plain aliases and a family name
     (``bezier``, ``naive``, ...) that resolves per statistic;
-  * ``sums(data, exact)``: the exact sums s the mechanism perturbs;
+  * ``sums(data, exact)``: the exact sums s the mechanism perturbs, a
+    sequence of cells or an array with cells last;
   * ``cells`` Laplace draws z per release, each at scale ``c / (eps / split)``;
   * a fixed noise map L from z to offsets of s: the identity, or (``basis``)
     the inverse Bernstein basis change M^-1 of degree k in dimension d --
@@ -35,20 +36,21 @@ the harness all read it there.  A record holds:
 A composed record (``parts``) instead releases several records side by side
 on one draw vector, and ``post`` combines their values.
 
-`prepare` binds a record to a dataset.  Its kernel maps noise at
-`scale(eps)`, shape (..., cells), to released values, shape (...): one row
-for a single release, a (trials, cells) block for Monte Carlo (see
-`noise.NoiseRows`), and for `run_value` on several budgets that block
-scaled for each, as one block.  Kernels are elementwise in the rows and
-never call BLAS, so a trial's value does not depend on how many rows share
-the call.  With zero noise every mechanism but the four moments beyond the
-variance reproduces the exact statistic bit for bit: s holds the float sums
-the exact statistic is computed from, L maps zero noise to zeros, and
-``post`` runs the same ratio kernels.  Those four have only power sums, so
-their one-pass central moments part from the two-pass exact statistic on
-narrow data (kurtosis of 10^4 points of sd 1e-4: by 0.29; sd 1e-5: by 3e3).
-`gradient_norm2` differentiates the unclipped value at zero noise, which is
-all a first-order error prediction needs.
+`prepare` binds a record to a dataset, or to a (..., n, d) block of them
+(one per trial of a fresh-data Monte Carlo run), with s kept cells first.
+Its kernel maps noise at `scale(eps)`, shape (..., cells), to released
+values, shape (...): one row for a single release, a (trials, cells) block
+for Monte Carlo (see `noise.NoiseRows`), and for `run_value` on several
+budgets that block scaled for each.  Kernels are elementwise in the rows
+and never call BLAS, so a trial's value does not depend on how many rows or
+datasets share the call.  With zero noise every mechanism but the four
+moments beyond the variance reproduces the exact statistic bit for bit: s
+holds the float sums the exact statistic is computed from, L maps zero
+noise to zeros, and ``post`` runs the same ratio kernels.  Those four have
+only power sums, so their one-pass central moments part from the two-pass
+exact statistic on narrow data (kurtosis of 10^4 points of sd 1e-4: by
+0.29; sd 1e-5: by 3e3).  `gradient_norm2` differentiates the unclipped
+value at zero noise, which is all a first-order error prediction needs.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .stats import (
     VARIANCE_RANGE,
     ClipRange,
     Dataset,
+    _as_value,
     centered_moment_exact,
     clamp,
     correlation_exact,
@@ -136,16 +139,17 @@ class Spec:
 
 
 class PreparedMechanism:
-    """A registry record bound to one dataset: `cells`, `scale(eps)` and a kernel.
+    """A registry record bound to a dataset or block: `cells`, `scale(eps)`, a kernel.
 
     `kernel(noise)` maps Laplace noise already at `scale(eps)`, shape
-    (..., cells), to released values, shape (...).  `run_value` and `run`
-    draw `source.laplace_vector(scale(eps), cells)` and call the same kernel;
+    (..., cells), to released values, shape (...); for a block the leading
+    axes end with its dataset axes.  `run_value` and `run` draw
+    `source.laplace_vector(scale(eps), cells)` and call the same kernel;
     given a `NoiseRows` block instead of a single source, `run_value` returns
     one value per row, and one row of them per budget for several budgets.
     """
 
-    __slots__ = ("spec", "exact_value", "cells", "data", "_sums", "_parts", "_on_edge", "_grad2")
+    __slots__ = ("spec", "exact_value", "cells", "data", "_sums", "_parts", "_grad2")
 
     def __init__(self, spec: Spec, data: Dataset):
         if data.d != spec.d:
@@ -154,16 +158,12 @@ class PreparedMechanism:
         self.data = data
         self.exact_value = None if spec.exact is None else _try_exact(spec.exact, data)
         self.cells = spec.cells
-        self._sums = None if spec.sums is None else spec.sums(data, self.exact_value)
+        s = None if spec.sums is None else spec.sums(data, self.exact_value)
+        self._sums = _cells_first(s) if isinstance(s, np.ndarray) else s
         self._parts = [
             PreparedMechanism(p, data if col is None else data.univariate(col))
             for p, col in spec.parts
         ]
-        # the exact value (or a part's) sits on a clip bound
-        clip = spec.clip
-        self._on_edge = any(p._on_edge for p in self._parts) or (
-            clip is not None and self.exact_value in (clip.lo, clip.hi)
-        )
         self._grad2 = None
 
     @property
@@ -206,7 +206,8 @@ class PreparedMechanism:
                 x.append(part._release(z[..., a : a + part.cells])[0])
                 a += part.cells
         elif spec.basis is not None:
-            x = _cells_first(tensor_apply_inverse(*spec.basis, z, None if spec.shift else s))
+            offset = None if spec.shift else _all_sums(None, s)
+            x = _cells_first(tensor_apply_inverse(*spec.basis, z, offset))
         elif spec.shift:
             x = _cells_first(z)
         else:
@@ -226,16 +227,23 @@ class PreparedMechanism:
             trail[name] = raw if i is None else s[i] + x[i] if spec.shift else x[i]
         return trail
 
+    def _on_edge(self) -> bool:
+        """Whether the exact value (or a part's) sits on a clip bound."""
+        clip = self.spec.clip
+        return any(p._on_edge() for p in self._parts) or (
+            clip is not None and self.exact_value in (clip.lo, clip.hi)
+        )
+
     def gradient_norm2(self) -> float | None:
-        """|d value / d z|^2 at zero noise, computed on first use and kept;
-        None where the exact value (or a part's) sits on a clip bound, where
-        the clipped release has no derivative.
+        """|d value / d z|^2 at zero noise for one bound dataset, computed on
+        first use and kept; None where the exact value (or a part's) sits on a
+        clip bound, where the clipped release has no derivative.
 
         The unclipped value is differentiated by Richardson-extrapolated
         central differences, steps +-h and +-h/2 per cell with h = 1e-3 n,
         all 4 * cells rows in one block.
         """
-        if self._on_edge:
+        if self._on_edge():
             return None
         if self._grad2 is None:
             h = 1e-3 * max(self.data.n, 1)
@@ -246,23 +254,22 @@ class PreparedMechanism:
             self._grad2 = float(g @ g) / (6.0 * h) ** 2
         return self._grad2
 
-    def _draw(self, eps, source):
-        return source.laplace_vector(self.scale(eps), self.cells)
-
     def run_value(self, eps, source):
         """Just the released value: a float, or one per row for `NoiseRows`.
         A 1-d sequence of budgets (`NoiseRows` only) gives shape (len(eps),
         rows) from one kernel call, row i bit for bit that of budget eps[i]."""
         if np.ndim(eps) == 0:
-            return _as_value(self._release(self._draw(eps, source))[0])
+            return _as_value(self._release(source.laplace_vector(self.scale(eps), self.cells))[0])
         if not isinstance(source, NoiseRows):
             raise DomainError("a sequence of budgets needs a NoiseRows block")
         z = source.laplace_vector([self.scale(e) for e in eps], self.cells)
-        return self._release(z.reshape(-1, self.cells))[0].reshape(z.shape[:-1])
+        # budgets folded into the rows, which a block binding's dataset axes end
+        flat = z.reshape((-1,) + z.shape[z.ndim + 1 - self.data.values.ndim :])
+        return self._release(flat)[0].reshape(z.shape[:-1])
 
     def run(self, eps: float, source: NoiseSource) -> Estimate:
         eps = check_epsilon(eps)
-        z = self._draw(eps, source)
+        z = source.laplace_vector(self.scale(eps), self.cells)
         val, raw, x = self._release(z)
         return Estimate(
             value=_as_value(val),
@@ -273,13 +280,9 @@ class PreparedMechanism:
         )
 
 
-def _as_value(val):
-    return float(val) if np.ndim(val) == 0 else val
-
-
 def _cells_first(a):
     """(..., cells) -> (cells, ...), a view."""
-    return a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)
+    return a.T if a.ndim <= 2 else a.transpose(-1, *range(a.ndim - 1))
 
 
 def check_epsilon(eps) -> float:
@@ -393,7 +396,7 @@ def _shift_post(rng: ClipRange):
 
 def _all_sums(s, mu):
     """Every recovered sum, (cells, ...) back to (..., cells), a view."""
-    return mu.T if mu.ndim <= 2 else np.moveaxis(mu, 0, -1)
+    return mu.T if mu.ndim <= 2 else mu.transpose(*range(1, mu.ndim), 0)
 
 
 def _composed_post(_, values):
@@ -475,7 +478,8 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
         raise DomainError(f"moment order must lie in [0, {k}], got {j}")
     return basis_spec(
         k, 1, id=spec.id, statistic=spec.statistic, aliases=spec.aliases,
-        post=lambda s, mu: mu[j], exact=lambda data: float(moments_unnormalized(data, k)[j]),
+        post=lambda s, mu: mu[j],
+        exact=lambda data: _as_value(moments_unnormalized(data, k)[..., j]),
     )
 
 
@@ -502,7 +506,7 @@ _BEZIER_COVARIANCE = basis_spec(
 _VARIANCE_VIA_COVARIANCE = dataclasses.replace(
     _BEZIER_COVARIANCE, id="variance_via_covariance", statistic="variance", d=1,
     family=None, aliases=("via_cov",),
-    sums=lambda data, exact: moments_unnormalized(data, 2)[[0, 1, 1, 2]],
+    sums=lambda data, exact: moments_unnormalized(data, 2)[..., [0, 1, 1, 2]],
     clip=VARIANCE_RANGE, exact=variance_exact,
 )
 # the degree-1 basis release of (n, u): basis cells (n - u, u)

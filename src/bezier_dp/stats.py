@@ -7,8 +7,12 @@ see a value that float rounding pushed out of range.
 
 The power sums, variance and covariance are computed once, by kernels on
 (..., n, d) blocks of equally sized datasets (`power_sums`, `variances`,
-`covariances` and their unnormalized forms); the per-dataset functions and
-the audit maps' block forms are calls of the same kernels.
+`covariances` and their unnormalized forms); the audit maps' block forms
+are calls of the same kernels.  A `Dataset` holds one dataset or such a
+block, and each exact statistic of it (`variance_exact`, ...,
+`centered_moment_exact`) is a float for one dataset and an array for a
+block, each entry bit for bit its own dataset's float; a block raises
+UndefinedStatisticError if the statistic is undefined on any dataset.
 
 The ratio kernels `ratio_variance` / `ratio_covariance` are shared verbatim
 with the private mechanisms: running a mechanism with a zero noise source
@@ -44,28 +48,28 @@ def clamp(x, rng: ClipRange):
 
 
 class Dataset:
-    """Immutable (n, d) array of records with coordinates in [0, 1]."""
+    """Immutable (n, d) array of records with coordinates in [0, 1], or a
+    block of equally sized datasets along leading axes, (..., n, d)."""
 
     __slots__ = ("values", "n", "d")
 
     def __init__(self, records, d: int | None = None):
         arr = np.asarray(records, dtype=np.float64)
+        if arr.ndim == 0:
+            raise DomainError("records must form an array of at least 1 dimension, got a scalar")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        if arr.ndim != 2:
-            raise DomainError(f"records must form a 1-d or 2-d array, got shape {arr.shape}")
-        if arr.shape[0] == 0:
+        if arr.ndim == 2 and arr.shape[0] == 0:
             width = int(d) if d is not None else (arr.shape[1] or 1)
             arr = arr.reshape(0, width)
-        if d is not None and arr.shape[1] != int(d):
-            raise DomainError(f"expected {d} coordinate(s) per record, got {arr.shape[1]}")
+        if d is not None and arr.shape[-1] != int(d):
+            raise DomainError(f"expected {d} coordinate(s) per record, got {arr.shape[-1]}")
         if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
             raise DomainError("record coordinates must be finite and lie in [0, 1]")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self.values = arr
-        self.n = arr.shape[0]
-        self.d = arr.shape[1]
+        self.n, self.d = arr.shape[-2:]
 
     @classmethod
     def empty(cls, d: int = 1) -> "Dataset":
@@ -74,11 +78,11 @@ class Dataset:
     def column(self, i: int) -> np.ndarray:
         if not 0 <= i < self.d:
             raise DomainError(f"column index {i} out of range for d={self.d}")
-        return self.values[:, i]
+        return self.values[..., i]
 
     def univariate(self, i: int = 0) -> "Dataset":
-        """Single-column view of this dataset as a d=1 dataset."""
-        return Dataset(self.values[:, i : i + 1], d=1)
+        """Single-column copy of this dataset (or block) as a d=1 dataset."""
+        return Dataset(self.values[..., i : i + 1], d=1)
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
@@ -197,64 +201,68 @@ def unnormalized_covariances(values: np.ndarray) -> np.ndarray:
     return _unnormalized(values, covariances, 2, "unnormalized covariance")
 
 
+def _as_value(val):
+    return float(val) if np.ndim(val) == 0 else val
+
+
 def moments_unnormalized(data: Dataset, k: int) -> np.ndarray:
-    """Unnormalized power sums (count, sum x, ..., sum x^k) of a d=1 dataset."""
+    """Unnormalized power sums (count, sum x, ..., sum x^k) of d=1 data, shape (..., k+1)."""
     _require_dim(data.values, 1, "moments_unnormalized")
     return power_sums(data.values, k)
 
 
-def variance_exact(data: Dataset) -> float:
-    """Population variance of a d=1 dataset, clamped to [0, 1/4]."""
-    return float(variances(data.values))
+def variance_exact(data: Dataset):
+    """Population variance of d=1 data, clamped to [0, 1/4]."""
+    return _as_value(variances(data.values))
 
 
-def covariance_exact(data: Dataset) -> float:
-    """Population covariance of a d=2 dataset, clamped to [-1/4, 1/4]."""
-    return float(covariances(data.values))
+def covariance_exact(data: Dataset):
+    """Population covariance of d=2 data, clamped to [-1/4, 1/4]."""
+    return _as_value(covariances(data.values))
 
 
-def correlation_exact(data: Dataset) -> float:
-    """Pearson correlation of a d=2 dataset, clamped to [-1, 1]."""
+def correlation_exact(data: Dataset):
+    """Pearson correlation of d=2 data, clamped to [-1, 1]."""
     _require_dim(data.values, 2, "correlation")
     if data.n < 1:
         raise UndefinedStatisticError("correlation is undefined for an empty dataset")
-    vx, vy = (variances(data.values[:, i : i + 1]) for i in (0, 1))
-    if vx <= 0.0 or vy <= 0.0:
+    vx, vy = (variances(col[..., None]) for col in _columns(data.values))
+    if (vx <= 0.0).any() or (vy <= 0.0).any():
         raise UndefinedStatisticError(
             "correlation is undefined when a marginal variance is zero"
         )
-    return float(clamp(covariances(data.values) / np.sqrt(vx * vy), CORRELATION_RANGE))
+    return _as_value(clamp(covariances(data.values) / np.sqrt(vx * vy), CORRELATION_RANGE))
 
 
 def _centered(data: Dataset, order: int, what: str) -> np.ndarray:
-    """The records of a d=1 dataset minus their mean, for a moment of `order`."""
+    """The records of d=1 data minus their mean, (..., n), for a moment of `order`."""
     if order not in (3, 4):
         raise DomainError(f"{what} supports order 3 or 4, got {order}")
     _require_dim(data.values, 1, what)
     if data.n < 1:
         raise UndefinedStatisticError(f"{what} needs a nonempty dataset")
-    x = data.column(0)
-    return x - float(np.mean(x))
+    x = data.values[..., 0]
+    return x - np.mean(x, axis=-1, keepdims=True)
 
 
-def standardized_moment(data: Dataset, order: int) -> float:
-    """Skewness (order=3) or excess-free kurtosis (order=4) of a d=1 dataset."""
+def standardized_moment(data: Dataset, order: int):
+    """Skewness (order=3) or excess-free kurtosis (order=4) of d=1 data."""
     c = _centered(data, order, "standardized moment")
-    v = float(np.mean(c * c))
-    if v <= 0.0:
+    v = np.mean(c * c, axis=-1)
+    # Python's pow on each float, as for one dataset: numpy's may round otherwise
+    scale = np.reshape([w ** (order / 2) for w in np.ravel(v).tolist()], np.shape(v))
+    if (scale <= 0.0).any():  # a zero variance, or a tiny one whose power underflows
         raise UndefinedStatisticError(
             "standardized moment is undefined when the variance is zero"
         )
-    if order == 3:
-        return float(np.mean(c**3)) / v**1.5
-    return float(np.mean(c**4)) / v**2
+    return _as_value(np.mean(c**order, axis=-1) / scale)
 
 
-def centered_moment_exact(data: Dataset, order: int) -> float:
+def centered_moment_exact(data: Dataset, order: int):
     """Central moment E[(x - mean)^order] for order 3 or 4, clamped."""
     c = _centered(data, order, "centered moment")
     rng = CENTERED_THIRD_RANGE if order == 3 else CENTERED_FOURTH_RANGE
-    return float(clamp(np.mean(c**order), rng))
+    return _as_value(clamp(np.mean(c**order, axis=-1), rng))
 
 
 def feasible_rxy_bounds(r_x: float, r_y: float) -> tuple[float, float]:

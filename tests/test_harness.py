@@ -1,6 +1,10 @@
 """Benchmark harness: config handling, data generators, determinism, reports."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +254,20 @@ def test_beta_data_moments():
         assert float(x.var()) == pytest.approx(2.0 / 3.0 * r * (1 - r), rel=0.05)
 
 
+def test_beta_columns_and_blocks_read_one_stream_each():
+    # the columns of a beta dataset continue one stream, column after
+    # column, and a block of datasets draws each from its own stream
+    cfg = _cfg(statistic="covariance", mechanisms=["bezier"], distribution="beta",
+               dist_param=0.3, n=50).normalized()
+    block = harness._synthetic(cfg, np.array([5, 6], dtype=np.uint64))
+    for seed, records in zip((5, 6), block):
+        src = NoiseSource.seeded(seed)
+        cols = [harness._beta_column(src, 0.3, 50) for _ in range(2)]
+        assert np.array_equal(records, np.column_stack(cols))
+        assert not np.array_equal(records[:, 0], records[:, 1])
+    assert np.array_equal(generate_dataset(cfg, 5).values, block[0])
+
+
 def test_correlated_data():
     def pair(rho, n, seed=6):
         cfg = _cfg(
@@ -279,13 +297,20 @@ def test_correlated_data():
 
 
 def test_correlated_pair_reads_three_consecutive_draws():
-    # x, y' and c come from one uniforms01(3 * n) call; the counters are
-    # contiguous, so the pairs equal those of three uniforms01(n) calls
+    # x, y' and c come from one uniforms01(3 * n) draw per stream; the
+    # counters are contiguous, so the pairs equal those of three
+    # uniforms01(n) calls, in a block of streams as for one
     for rho, n in ((0.5, 1), (0.5, 7), (0.3, 1000)):
-        src = NoiseSource.seeded(41)
-        x, y, c = (src.uniforms01(n) for _ in range(3))
-        want = np.column_stack([x, np.where(c < rho, x, y)])
-        assert np.array_equal(harness._correlated_pair(NoiseSource.seeded(41), rho, n), want)
+        cfg = _cfg(
+            statistic="correlation", mechanisms=["bezier"], distribution="correlated",
+            dist_param=rho, n=n,
+        ).normalized()
+        block = harness._synthetic(cfg, np.array([41, 42], dtype=np.uint64))
+        for seed, records in zip((41, 42), block):
+            src = NoiseSource.seeded(seed)
+            x, y, c = (src.uniforms01(n) for _ in range(3))
+            assert np.array_equal(records, np.column_stack([x, np.where(c < rho, x, y)]))
+        assert np.array_equal(generate_dataset(cfg, 41).values, block[0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +460,29 @@ _STATISTIC_CONFIGS = {
         dist_param=0.5,
     ),
     "moment": dict(statistic="moment", mechanisms=["moment"], moment_k=3, moment_j=1),
+    "variance_beta": dict(
+        mechanisms=["swap", "naive", "improved", "bezier", "via_cov", "transformed"],
+        distribution="beta",
+        dist_param=0.3,
+    ),
+    "covariance_beta": dict(
+        statistic="covariance", mechanisms=["naive", "bezier"], distribution="beta", dist_param=0.3
+    ),
+    "skewness_beta": dict(
+        statistic="skewness", mechanisms=["bezier"], distribution="beta", dist_param=0.3
+    ),
+    "kurtosis": dict(statistic="kurtosis", mechanisms=["bezier"]),
+    "centered_moment_3_beta": dict(
+        statistic="centered_moment_3", mechanisms=["bezier"], distribution="beta", dist_param=0.3
+    ),
+    "centered_moment_4": dict(statistic="centered_moment_4", mechanisms=["bezier"]),
 }
 
 
-def test_run_benchmark_thread_invariance():
-    # thread counts change the trial blocks; per-trial errors must not move
+def test_run_benchmark_thread_invariance(monkeypatch):
+    # thread counts change the trial blocks; per-trial errors must not move.
+    # Eight cores, so that 8 workers are not capped on a smaller machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     for name, stat_kw in _STATISTIC_CONFIGS.items():
         for fixed in (True, False):
             kw = dict(stat_kw, epsilons=[0.5, 1.0], n=40, trials=64, fixed_data=fixed)
@@ -472,10 +515,36 @@ def test_run_benchmark_matches_per_trial_releases():
                         assert report.trial_errors[(mid, eps)][t] == diff * diff, (name, mid, t)
 
 
-def test_thread_resolution():
+def test_thread_resolution(monkeypatch):
     assert _resolve_threads(_cfg().normalized()) == 1
+    assert _resolve_threads(_cfg(threads=0).normalized()) == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     assert _resolve_threads(_cfg(threads=5).normalized()) == 5
-    assert _resolve_threads(_cfg(threads=0).normalized()) >= 1
+    assert _resolve_threads(_cfg(threads=0).normalized()) == 16
+
+
+def test_worker_count_is_capped_at_the_cores(monkeypatch):
+    # 10**5 threads on 10**5 trials would cut one trial per block and ask
+    # the pool for 10**5 OS threads; the count stops at the cores, so the
+    # blocks stay a few per core.  No pool is started here.
+    for cores in (1, 2, 16):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        threads = _resolve_threads(_cfg(threads=10**5, trials=10**5).normalized())
+        assert threads == cores
+        blocks = _trial_blocks(10**5, threads)
+        assert len(blocks) <= 8 * cores
+        assert blocks[0][0] == 0 and blocks[-1][1] == 10**5
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_threads(_cfg(threads=10**5).normalized()) == 1
+
+
+def test_importing_the_package_starts_no_pool_machinery():
+    # only a run with a pool imports concurrent.futures
+    code = "import sys, bezier_dp.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 def test_trial_blocks_partition():
@@ -488,6 +557,73 @@ def test_trial_blocks_partition():
         blocks = _trial_blocks(200_000, 1, budgets)
         assert blocks[0][0] == 0 and blocks[-1][1] == 200_000
         assert max(t1 - t0 for t0, t1 in blocks) == max(1, harness._BLOCK_ROWS // budgets)
+
+
+def test_fresh_data_prepares_each_mechanism_once_per_block(monkeypatch):
+    real, calls = harness.prepare, []
+
+    def counted(mid, data, **kw):
+        calls.append(data.values.shape)
+        return real(mid, data, **kw)
+
+    monkeypatch.setattr(harness, "prepare", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for threads in (1, 2):
+        calls.clear()
+        cfg = _cfg(**_STATISTIC_CONFIGS["correlation"], n=20, trials=300, fixed_data=False,
+                   epsilons=[0.5, 1.0], threads=threads)
+        run_benchmark(cfg)
+        blocks = _trial_blocks(300, threads, 2, 40)
+        assert len(blocks) == (1 if threads == 1 else 16)
+        # once on the trial-0 dataset (for the predictions), then once per block
+        assert len(calls) == 3 * (1 + len(blocks))
+        assert sorted(calls[3:]) == sorted((t1 - t0, 20, 2) for t0, t1 in blocks for _ in range(3))
+
+
+def test_fresh_data_undefined_statistic_names_the_trial(monkeypatch):
+    # a lone record has no marginal variance: trial 0 is the first undefined
+    cfg = _cfg(**_STATISTIC_CONFIGS["correlation"], n=1, trials=4, fixed_data=False)
+    with pytest.raises(ConfigError, match="correlation is undefined on the trial-0 dataset"):
+        run_benchmark(cfg)
+    # a constant column in trial 37 alone, found inside its block
+    real = harness._synthetic
+    bad_seed = derive_seed(0, 37, DATA_CHANNEL)
+
+    def synthetic(cfg, seeds):
+        records = real(cfg, seeds)
+        records[np.asarray(seeds) == bad_seed, :, 0] = 0.5
+        return records
+
+    monkeypatch.setattr(harness, "_synthetic", synthetic)
+    for threads in (1, 3):
+        cfg = _cfg(**_STATISTIC_CONFIGS["correlation"], n=10, trials=100, fixed_data=False,
+                   threads=threads)
+        with pytest.raises(ConfigError, match="correlation is undefined on the trial-37 dataset"):
+            run_benchmark(cfg)
+
+
+def test_fresh_data_blocks_bound_their_memory(monkeypatch):
+    # at n * d = _BLOCK_VALUES / 2 a block holds two datasets: eight trials
+    # run as four blocks, and the traced peak stays near what one block
+    # needs, not what all eight datasets would
+    n = harness._BLOCK_VALUES // 2
+    real, sizes = harness._synthetic, []
+
+    def synthetic(cfg, seeds):
+        sizes.append(len(seeds))
+        return real(cfg, seeds)
+
+    monkeypatch.setattr(harness, "_synthetic", synthetic)
+    cfg = _cfg(mechanisms=["bezier", "naive"], epsilons=[1.0], n=n, trials=8, fixed_data=False)
+    tracemalloc.start()
+    try:
+        run_benchmark(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1, 2, 2, 2, 2]  # the trial-0 dataset, then the blocks
+    all_records = 8 * n * 8  # bytes of the eight datasets
+    assert peak < 1.5 * all_records, peak  # about 0.9x; unsplit, about 3.1x
 
 
 def test_fresh_data_mode_differs_from_fixed():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bezier_dp import (
+    CORRELATION_RANGE,
     COVARIANCE_RANGE,
     VARIANCE_RANGE,
     Dataset,
@@ -21,6 +22,8 @@ from bezier_dp import (
     variance_exact,
 )
 from bezier_dp.stats import (
+    CENTERED_FOURTH_RANGE,
+    CENTERED_THIRD_RANGE,
     centered_moment_exact,
     covariances,
     power_sums,
@@ -42,6 +45,11 @@ def test_dataset_shapes():
     empty = Dataset.empty(2)
     assert (empty.n, empty.d) == (0, 2)
     assert Dataset([], d=3).d == 3
+    # leading axes hold a block of equally sized datasets
+    block = Dataset(np.full((4, 3, 2), 0.5))
+    assert (block.n, block.d, block.values.shape) == (3, 2, (4, 3, 2))
+    assert block.column(1).shape == (4, 3)
+    assert block.univariate(1).values.shape == (4, 3, 1)
 
 
 def test_dataset_validation():
@@ -54,7 +62,13 @@ def test_dataset_validation():
     with pytest.raises(DomainError):
         Dataset([[0.1, 0.2]], d=3)
     with pytest.raises(DomainError):
-        Dataset(np.zeros((2, 2, 2)))
+        Dataset(np.float64(0.5))
+    with pytest.raises(DomainError):
+        Dataset(np.zeros((2, 2, 2)), d=3)
+    bad = np.zeros((3, 2, 1))
+    bad[2, 1, 0] = 1.5
+    with pytest.raises(DomainError):
+        Dataset(bad)
 
 
 def test_dataset_immutable():
@@ -231,6 +245,25 @@ def _covariance_oracle(x: np.ndarray, y: np.ndarray) -> float:
     return _clip(ratio_covariance(n, np.sum(x), np.sum(y), np.sum(x * y)), COVARIANCE_RANGE)
 
 
+def _correlation_oracle(x: np.ndarray, y: np.ndarray) -> float | None:
+    vx, vy = _variance_oracle(x), _variance_oracle(y)
+    if vx <= 0.0 or vy <= 0.0:
+        return None
+    return _clip(_covariance_oracle(x, y) / np.sqrt(vx * vy), CORRELATION_RANGE)
+
+
+def _moment_oracles(x: np.ndarray) -> dict:
+    """Skewness, kurtosis (None where undefined) and centered moments of one column."""
+    c = x - float(np.mean(x))
+    v = float(np.mean(c * c))
+    return {  # undefined also where a tiny variance's power underflows to 0
+        "skew": float(np.mean(c**3)) / v**1.5 if v**1.5 > 0.0 else None,
+        "kurt": float(np.mean(c**4)) / v**2 if v**2 > 0.0 else None,
+        "cm3": _clip(np.mean(c**3), CENTERED_THIRD_RANGE),
+        "cm4": _clip(np.mean(c**4), CENTERED_FOURTH_RANGE),
+    }
+
+
 def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
@@ -261,6 +294,55 @@ def test_block_kernels_match_per_dataset_oracles(draw):
         assert _same_bits(got["uvar"][i], n * var) and _same_bits(got["ucov"][i], n * cov)
         assert _same_bits(variance_exact(Dataset(block[i, :, :1])), var)
         assert _same_bits(covariance_exact(Dataset(block[i])), cov)
+    # the exact statistics of a block Dataset: one value per dataset, each its
+    # own dataset's float; any undefined dataset makes the block raise
+    data = Dataset(block)
+    rows = range(pairs)
+    want = {
+        "corr": [_correlation_oracle(block[i, :, 0].copy(), block[i, :, 1].copy()) for i in rows],
+        **{
+            key: [_moment_oracles(block[i, :, 0].copy())[key] for i in rows]
+            for key in ("skew", "kurt", "cm3", "cm4")
+        },
+    }
+    exact = {
+        "corr": lambda: correlation_exact(data),
+        "skew": lambda: standardized_moment(data.univariate(0), 3),
+        "kurt": lambda: standardized_moment(data.univariate(0), 4),
+        "cm3": lambda: centered_moment_exact(data.univariate(0), 3),
+        "cm4": lambda: centered_moment_exact(data.univariate(0), 4),
+    }
+    for key, fn in exact.items():
+        if None in want[key]:
+            with pytest.raises(UndefinedStatisticError):
+                fn()
+            continue
+        got = fn()
+        assert got.shape == (pairs,), key
+        assert all(_same_bits(g, w) for g, w in zip(got, want[key])), key
+
+
+def test_block_statistic_undefined_on_one_dataset_raises():
+    rng = np.random.default_rng(3)
+    block = rng.uniform(size=(4, 20, 2))
+    block[2, :, 1] = 0.25  # one constant column in one dataset
+    with pytest.raises(UndefinedStatisticError):
+        correlation_exact(Dataset(block))
+    with pytest.raises(UndefinedStatisticError):
+        standardized_moment(Dataset(block[..., 1:]), 3)
+    # the other datasets are defined, and every centered moment is
+    assert correlation_exact(Dataset(block[[0, 1, 3]])).shape == (3,)
+    assert centered_moment_exact(Dataset(block[..., 1:]), 4)[2] == 0.0
+    # a positive variance whose square underflows has no kurtosis (it used
+    # to raise ZeroDivisionError), but its skewness is defined
+    tiny = Dataset([5.6e-102, 0.0])
+    with pytest.raises(UndefinedStatisticError):
+        standardized_moment(tiny, 4)
+    assert standardized_moment(tiny, 3) == 0.0
+    # one dataset still gives a float
+    one = Dataset(block[0])
+    assert type(correlation_exact(one)) is float
+    assert type(standardized_moment(one.univariate(1), 4)) is float
 
 
 def test_block_kernel_errors():
