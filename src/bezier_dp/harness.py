@@ -406,11 +406,11 @@ def _parse_float(cell: str) -> float | None:
 def _load_csv_fast(path: str, clip_input: bool) -> Dataset | None:
     """The Dataset of a well-formed file, or None to leave it to the row parser.
 
-    Plain decimals take `_plain_decimals` on x87 platforms, other files
-    np.loadtxt.  None covers every case neither settles: an unreadable file, a
-    first row that is not plainly a header or plainly numbers, anything
-    np.loadtxt rejects or warns about, and a value Dataset rejects (non-finite
-    or, without `clip_input`, out of range), which its one scan finds.
+    None covers every case neither `_plain_decimals` (x87 only) nor np.loadtxt
+    settles: an unreadable file, a first row that is not plainly a header or
+    plainly numbers, a byte numpy strips and float() rejects (the tier
+    declines it in data rows; the scan covers the rest of what is read),
+    anything np.loadtxt rejects or warns about, and a value Dataset rejects.
     """
     try:
         head = _csv_lines_before_data(path)
@@ -418,6 +418,9 @@ def _load_csv_fast(path: str, clip_input: bool) -> Dataset | None:
             return None
         raw, skip, offset = head
         arr = _plain_decimals(raw, offset) if _X87_LONGDOUBLE and offset is not None else None
+        end = len(raw) if arr is None else offset  # bounds, not a slice: no copy of the file
+        if any(raw.find(c, 0, end) >= 0 for c in _NUMPY_ONLY_SPACE):
+            return None
         if arr is None:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -440,14 +443,12 @@ def _csv_lines_before_data(path: str) -> tuple[bytes, int, int | None] | None:
 
     The lines are blank lines, then a header if any; the offset is None when
     a CR ends one of them.  None where the row parser must decide: no
-    non-blank row, a first row that mixes numbers and labels, quoting, a
-    character that numpy and float() read differently, or a line longer than
-    the csv module's field limit (np.loadtxt has none).
+    non-blank row, a first row that mixes numbers and labels, quoting, or a
+    line longer than the csv module's field limit (np.loadtxt has none); not
+    bytes numpy and float() read differently, which `_load_csv_fast` seeks.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if any(c in raw for c in _NUMPY_ONLY_SPACE):
-        return None
     if _has_line_over(raw, csv.field_size_limit()):
         return None
     skip = 0
@@ -492,7 +493,8 @@ def _plain_decimals(raw: bytes, offset: int) -> np.ndarray | None:
 
 
 def _plain_decimal_block(text: bytes) -> np.ndarray | None:
-    """The (lines, fields) array of whole LF-ended lines of equal width, or None."""
+    """The (lines, fields) array of whole LF-ended lines of equal width, or None.
+    Only a block with a field of no dot or two searches for each dot's field."""
     other = text.translate(None, b"0123456789.,\n")
     if other.translate(None, b"eE+-") or len(other) > len(text) * _MAX_REREAD_SHARE:
         return None  # spaces, CR, letters, quotes, or too many signs and exponents
@@ -504,19 +506,23 @@ def _plain_decimal_block(text: bytes) -> np.ndarray | None:
     if ends.size != at_lf.sum() * width or not at_lf[width - 1::width].all():
         return None  # a line of another width
     starts = np.r_[0, ends[:-1] + 1]
-    digits = ends - starts
     dots = np.flatnonzero(buf == 46)
-    field = np.searchsorted(ends, dots)
-    digits[field] -= 1
-    if digits.min() < 1 or (np.diff(field) == 0).any():
-        return None  # an empty field, a lone "." or two dots in a field
-    q = np.zeros(ends.size, dtype=np.intp)
-    q[field] = ends[field] - dots - 1
+    if dots.size == ends.size and (dots < ends).all() and (dots >= starts).all():
+        digits, q = ends - starts - 1, ends - dots - 1  # one dot in every field
+    else:
+        field = np.searchsorted(ends, dots)
+        if (np.diff(field) == 0).any():
+            return None  # two dots in a field
+        digits, q = ends - starts, np.zeros(ends.size, dtype=np.intp)
+        digits[field] -= 1
+        q[field] = ends[field] - dots - 1
+    if digits.min() < 1:
+        return None  # an empty field or a lone "."
     d = np.fromstring(text.translate(_DIGITS, b"."), dtype=np.uint64, sep=",")
     redo = q > 27
-    if other:
-        marks = np.flatnonzero(((buf | 32) == 101) | (buf == 43) | (buf == 45))
-        redo[np.searchsorted(ends, marks)] = True
+    if other:  # field of each sign or exponent byte (a "0" here): the separators before it
+        marks = np.flatnonzero(np.frombuffer(text.translate(_DIGITS, b"0123456789."), "u1") == 48)
+        redo[marks - np.arange(marks.size)] = True
     if d[~redo].max(initial=0) >= 10**19:
         return None  # np.fromstring saturates at 2**64 - 1
     quotient = d.astype(np.longdouble) / _TEN[np.minimum(q, 27)]
@@ -685,27 +691,33 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
     kw = {"moment_k": cfg.moment_k, "moment_j": cfg.moment_j}
 
     want_fixed = cfg.fixed_data or cfg.distribution == "csv"
-    data0 = generate_dataset(cfg, derive_seed(cfg.base_seed, 0, DATA_CHANNEL))
-    if data0.d != statistic_dimension(cfg.statistic):
-        raise ConfigError(
-            f"statistic {cfg.statistic!r} needs d={statistic_dimension(cfg.statistic)} "
-            f"data, got d={data0.d}"
-        )
+    channels = [*range(len(mechs))] + ([] if want_fixed else [DATA_CHANNEL])
+    d = statistic_dimension(cfg.statistic)
+    blocks = _trial_blocks(trials, threads, len(epss), 0 if want_fixed else cfg.n * d)
+
+    def draw(block):
+        """Seeds of a block's trials on every channel and, for fresh data, its datasets."""
+        seeds = derive_seeds(cfg.base_seed, np.arange(*block, dtype=np.uint64), channels)
+        return seeds, None if want_fixed else Dataset(_synthetic(cfg, seeds[:, -1]))
+
+    drawn = {} if want_fixed else {blocks[0]: draw(blocks[0])}  # row 0 is trial 0's dataset
+    data0 = Dataset(drawn[blocks[0]][1].values[0].copy()) if drawn else generate_dataset(
+        cfg, derive_seed(cfg.base_seed, 0, DATA_CHANNEL))
+    if data0.d != d:
+        raise ConfigError(f"statistic {cfg.statistic!r} needs d={d} data, got d={data0.d}")
     errors = np.zeros((len(mechs), len(epss), trials), dtype=np.float64)
 
     # bound to data0 once: the fixed-data releases and every prediction use it
     prepared = [prepare(m, data0, **kw) for m in mechs]
     if want_fixed:
         _require_exact(cfg, prepared, data0, kw)
-    channels = [*range(len(mechs))] + ([] if want_fixed else [DATA_CHANNEL])
 
     def work(block):
         """Squared errors of trials [t0, t1) on every channel at every epsilon."""
         t0, t1 = block
-        seeds = derive_seeds(cfg.base_seed, np.arange(t0, t1, dtype=np.uint64), channels)
+        seeds, data = drawn.pop(block, None) or draw(block)
         bound = prepared
-        if not want_fixed:  # the block's own datasets
-            data = Dataset(_synthetic(cfg, seeds[:, -1]))
+        if data is not None:  # the block's own datasets
             bound = [prepare(m, data, **kw) for m in mechs]
             _require_exact(cfg, bound, data, kw, t0)
         for ch, p in enumerate(bound):
@@ -714,7 +726,6 @@ def run_benchmark(cfg: ExperimentConfig, keep_trial_errors: bool = False) -> Ben
             diff = p.run_value(epss, NoiseRows(unit)) - p.exact_value
             errors[ch, :, t0:t1] = diff * diff
 
-    blocks = _trial_blocks(trials, threads, len(epss), 0 if want_fixed else data0.n * data0.d)
     if threads <= 1 or len(blocks) <= 1:
         for block in blocks:
             work(block)

@@ -37,7 +37,8 @@ A composed record (``parts``) instead releases several records side by side
 on one draw vector, and ``post`` combines their values.
 
 `prepare` binds a record to a dataset, or to a (..., n, d) block of them
-(one per trial of a fresh-data Monte Carlo run), with s kept cells first.
+(one per trial of a fresh-data Monte Carlo run), with s kept cells first;
+records bound to one `Dataset` share its exact value and power sums.
 Its kernel maps noise at `scale(eps)`, shape (..., cells), to released
 values, shape (...): one row for a single release, a (trials, cells) block
 for Monte Carlo (see `noise.NoiseRows`), and for `run_value` on several
@@ -79,7 +80,7 @@ from .stats import (
     clamp,
     correlation_exact,
     covariance_exact,
-    moments_unnormalized,
+    moments_unnormalized,  # noqa: F401 (traced by perfbench)
     power_sums,
     ratio_covariance,
     ratio_variance,
@@ -156,7 +157,7 @@ class PreparedMechanism:
             raise DomainError(f"{spec.id} needs d={spec.d} data, got d={data.d}")
         self.spec = spec
         self.data = data
-        self.exact_value = None if spec.exact is None else _try_exact(spec.exact, data)
+        self.exact_value = None if spec.exact is None else _shared(data, spec.exact, spec.exact)
         self.cells = spec.cells
         s = None if spec.sums is None else spec.sums(data, self.exact_value)
         self._sums = _cells_first(s) if isinstance(s, np.ndarray) else s
@@ -290,11 +291,18 @@ def check_epsilon(eps) -> float:
     return check_finite_positive(eps, "epsilon")
 
 
-def _try_exact(fn, data):
-    try:
-        return fn(data)
-    except UndefinedStatisticError:
-        return None
+def _shared(data, key, compute):
+    """compute(data), None where undefined, once per dataset and key: records share it."""
+    if key not in data.shared:
+        try:
+            data.shared[key] = compute(data)
+        except UndefinedStatisticError:
+            data.shared[key] = None
+    return data.shared[key]
+
+
+def _power_sums(data, k: int, cells=slice(None)):
+    return _shared(data, k, lambda data: power_sums(data.values, k))[..., cells]
 
 
 def _mid(rng: ClipRange) -> float:
@@ -461,7 +469,7 @@ def basis_spec(k: int, d: int, **fields) -> Spec:
     k, d = _check_dims(k, d)
     defaults = {
         "d": d,
-        "sums": lambda data, exact: power_sums(data.values, k),
+        "sums": lambda data, exact: _power_sums(data, k),
         "basis_cells": lambda data, s: bernstein_aggregate(data.values, k),
         "keys": tuple((_agg_key("mu", a), i) for i, a in enumerate(multi_indices(k, d))),
     }
@@ -479,7 +487,7 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
     return basis_spec(
         k, 1, id=spec.id, statistic=spec.statistic, aliases=spec.aliases,
         post=lambda s, mu: mu[j],
-        exact=lambda data: _as_value(moments_unnormalized(data, k)[..., j]),
+        exact=lambda data: _as_value(_power_sums(data, k)[..., j]),
     )
 
 
@@ -506,7 +514,7 @@ _BEZIER_COVARIANCE = basis_spec(
 _VARIANCE_VIA_COVARIANCE = dataclasses.replace(
     _BEZIER_COVARIANCE, id="variance_via_covariance", statistic="variance", d=1,
     family=None, aliases=("via_cov",),
-    sums=lambda data, exact: moments_unnormalized(data, 2)[..., [0, 1, 1, 2]],
+    sums=lambda data, exact: _power_sums(data, 2, [0, 1, 1, 2]),
     clip=VARIANCE_RANGE, exact=variance_exact,
 )
 # the degree-1 basis release of (n, u): basis cells (n - u, u)
@@ -531,7 +539,7 @@ _CORRELATION_COMPOSED = Spec(
 # cells: count, sum x, sum y, sum x^2, sum y^2, sum xy
 _CORRELATION_NAIVE = Spec(
     "correlation_naive", "correlation", 2, family="naive", cells=6, c=6.0,
-    sums=lambda data, exact: power_sums(data.values, 2, _BASIS_CORR),
+    sums=lambda data, exact: _power_sums(data, 2, _BASIS_CORR),
     post=_ratio_post(_correlation_ratio, range(6), 0.0),
     keys=_keys("n~ s_x~ s_y~ s_x2~ s_y2~ s_xy~"), clip=CORRELATION_RANGE,
     exact=correlation_exact,
@@ -549,7 +557,7 @@ REGISTRY: dict[str, Spec] = {
         # cells: count, sum x, sum x^2
         Spec(
             "naive_variance", "variance", 1, family="naive", aliases=("naive_var",),
-            cells=3, c=3.0, sums=lambda data, exact: moments_unnormalized(data, 2),
+            cells=3, c=3.0, sums=lambda data, exact: _power_sums(data, 2),
             post=_VARIANCE_POST, keys=_keys("n~ s_x~ s_x2~"),
             clip=VARIANCE_RANGE, exact=variance_exact,
         ),
@@ -569,7 +577,7 @@ REGISTRY: dict[str, Spec] = {
         # cells: count, sum x, sum y, sum xy
         Spec(
             "naive_covariance", "covariance", 2, family="naive", aliases=("naive_cov",), cells=4,
-            c=4.0, sums=lambda data, exact: power_sums(data.values, 1, _BASIS_COV),
+            c=4.0, sums=lambda data, exact: _power_sums(data, 1, _BASIS_COV),
             post=_ratio_post(ratio_covariance, range(4), 0.0), keys=_keys("n~ s_x~ s_y~ s_xy~"),
             clip=COVARIANCE_RANGE, exact=covariance_exact,
         ),

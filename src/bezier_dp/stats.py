@@ -48,10 +48,10 @@ def clamp(x, rng: ClipRange):
 
 
 class Dataset:
-    """Immutable (n, d) array of records with coordinates in [0, 1], or a
-    block of equally sized datasets along leading axes, (..., n, d)."""
+    """Immutable (n, d) records in [0, 1], or a block of equally sized datasets
+    (..., n, d); `shared` keeps what the mechanisms bound to it share."""
 
-    __slots__ = ("values", "n", "d")
+    __slots__ = ("values", "n", "d", "shared")
 
     def __init__(self, records, d: int | None = None):
         arr = np.asarray(records, dtype=np.float64)
@@ -70,6 +70,7 @@ class Dataset:
         arr.setflags(write=False)
         self.values = arr
         self.n, self.d = arr.shape[-2:]
+        self.shared = {}
 
     @classmethod
     def empty(cls, d: int = 1) -> "Dataset":

@@ -300,6 +300,55 @@ def test_plain_decimal_file_skips_loadtxt(tmp_path, monkeypatch):
     assert got.shape == table.shape and got.tobytes() == table.tobytes()
 
 
+@x87
+def test_one_dot_file_with_exponents_skips_the_dot_search(tmp_path, monkeypatch):
+    # Every field of a "%.17g" file holds one dot, its exponent fields too, so
+    # the tier reads digit counts off the field bounds and finds the field of
+    # each exponent byte by counting separators: no binary search.
+    def forbidden(*_args, **_kw):
+        raise AssertionError("np.searchsorted or np.loadtxt called on a one-dot file")
+
+    table = np.linspace(0.001, 0.999, 400).reshape(200, 2)
+    table[7, 1], table[150, 0] = 1e-05, 2.5e-07
+    p = tmp_path / "one_dot.csv"
+    p.write_text("x,y\n" + "".join("%.17g,%.17g\n" % tuple(row) for row in table.tolist()))
+    assert p.read_text().count("e-0") == 2
+    monkeypatch.setattr(np, "searchsorted", forbidden)
+    monkeypatch.setattr(np, "loadtxt", forbidden)
+    got = load_csv_dataset(str(p)).values
+    assert got.shape == table.shape and got.tobytes() == table.tobytes()
+
+
+@x87
+@pytest.mark.parametrize("chunk", [128, harness._CHUNK])
+def test_blocks_with_and_without_one_dot_per_field(chunk):
+    # Fields without a dot ("0", "1") send their block to the dot search;
+    # "5." and ".5" hold one dot at either end of the field.  128-byte chunks
+    # put one-dot blocks beside searched ones in one file.
+    one_dot = ["%.17g" % v for v in np.linspace(0.01, 0.99, 40)]
+    _same_as_float(one_dot[:20] + ["0", "1", "5.", ".5"] + one_dot[20:], width=2, chunk=chunk)
+    _same_as_float(["5.", ".5"] + one_dot + [".5", "5."], width=2, chunk=chunk)
+    _same_as_float(["0", "1"] * 30 + one_dot, chunk=chunk)
+    # as many dots as fields, but two in one field and none in the other
+    assert _tier(["1.2.3", "0"], chunk=chunk) is None
+    assert _tier(["1.2.3", "0"], width=2, chunk=chunk) is None
+    assert _tier(one_dot[:30] + ["1.2.3", "0"] + one_dot[30:], width=2, chunk=chunk) is None
+    assert _tier([".", "0.5"] + one_dot, chunk=chunk) is None  # one dot each, one field lone
+
+
+@pytest.mark.parametrize("text", [
+    "x\x1c,y\n0.25,0.5\n0.5,0.75\n", "x,y\n0.25,0.5\n0.5,\x1c0.75\n", "0.25,0.5\x1f\n0.5,0.75\n",
+    "x\r\n0.25\n\x1e0.5\n", "\x1d\n0.25\n0.5\n",
+])
+def test_numpy_only_whitespace_agrees_with_row_parser(csv_path, text):
+    # numpy strips \x1c-\x1f around a number, float() rejects them.  The tier
+    # declines them in data rows; where it reads, only the lines before the
+    # data are scanned for them, and the whole file before np.loadtxt reads.
+    csv_path.write_bytes(text.encode("utf-8"))
+    want = _outcome(harness._load_csv_rows, str(csv_path), False)
+    assert _outcome(load_csv_dataset, str(csv_path), False) == want
+
+
 def test_without_long_double_loadtxt_reads_the_same(tmp_path, monkeypatch):
     p, _table = _plain_file(tmp_path)
     tiered = load_csv_dataset(str(p)).values

@@ -23,6 +23,7 @@ from bezier_dp import (
     load_csv_dataset,
     moment_release_mse,
     parse_distribution,
+    predicted_normalized_mse,
     prepare,
     resolve_mechanism,
     run_benchmark,
@@ -30,7 +31,7 @@ from bezier_dp import (
     statistic_dimension,
     variance_exact,
 )
-from bezier_dp import harness
+from bezier_dp import harness, mechanisms, stats
 from bezier_dp.harness import _STATISTICS, DATA_CHANNEL, _resolve_threads, _trial_blocks
 
 
@@ -621,9 +622,49 @@ def test_fresh_data_blocks_bound_their_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [1, 2, 2, 2, 2]  # the trial-0 dataset, then the blocks
+    assert sizes == [2, 2, 2, 2]  # the blocks: trial 0's dataset is row 0 of the first
     all_records = 8 * n * 8  # bytes of the eight datasets
     assert peak < 1.5 * all_records, peak  # about 0.9x; unsplit, about 3.1x
+
+
+def test_fresh_data_draws_trial_0_once(monkeypatch):
+    # the predictions read trial 0's dataset, row 0 of the first block: two
+    # blocks draw two dataset blocks, and no third one for trial 0
+    real, calls = harness._synthetic, []
+
+    def synthetic(cfg, seeds):
+        calls.append(len(seeds))
+        return real(cfg, seeds)
+
+    monkeypatch.setattr(harness, "_synthetic", synthetic)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rows = []
+    for threads in (1, 2):
+        calls.clear()
+        cfg = _cfg(**_STATISTIC_CONFIGS["variance"], trials=2, fixed_data=False, threads=threads)
+        rows.append(run_benchmark(cfg).rows)
+        assert calls == ([2] if threads == 1 else [1, 1])
+    assert rows[0] == rows[1]
+    norm = cfg.normalized()
+    data0 = generate_dataset(norm, derive_seed(norm.base_seed, 0, DATA_CHANNEL))
+    for row in rows[0]:
+        want = predicted_normalized_mse(prepare(row.mechanism, data0), data0, row.epsilon)
+        assert row.analytic_prediction == want
+
+
+def test_benchmark_shares_the_exact_statistic_and_power_sums(monkeypatch):
+    # six variance mechanisms bound to one dataset compute its variance and
+    # its power sums once, not once per mechanism
+    calls = []
+    for module, name in ((stats, "variances"), (mechanisms, "power_sums")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name)
+                            or real(*a))
+    run_benchmark(_cfg(**_STATISTIC_CONFIGS["variance"], trials=16))
+    assert calls == ["variances", "power_sums"]
+    calls.clear()
+    run_benchmark(_cfg(**_STATISTIC_CONFIGS["variance"], trials=16, fixed_data=False))
+    assert calls == ["variances", "power_sums"] * 2  # trial 0's dataset, then the block
 
 
 def test_fresh_data_mode_differs_from_fixed():

@@ -30,6 +30,7 @@ from bezier_dp import (
     variance_exact,
 )
 from bezier_dp.bernstein import bernstein_aggregate, tensor_apply_inverse
+from bezier_dp import mechanisms, stats
 from bezier_dp.mechanisms import REGISTRY
 from bezier_dp.stats import (
     CENTERED_FOURTH_RANGE,
@@ -120,6 +121,32 @@ def test_zero_noise_moment_release_recovers_power_sums():
 # ---------------------------------------------------------------------------
 # draw order and counts, pinned with replay sources
 # ---------------------------------------------------------------------------
+
+def test_records_on_one_dataset_share_exact_statistic_and_power_sums(monkeypatch):
+    # the variance records bound to one dataset make one variance and one
+    # degree-2 power-sum pass; moment:8:4 one degree-8 pass for its sums and
+    # its exact value; records that pick cells get the unshared bits
+    calls = []
+    real_sums, real_variances = mechanisms.power_sums, stats.variances
+    monkeypatch.setattr(mechanisms, "power_sums", lambda v, k: calls.append(k) or real_sums(v, k))
+    monkeypatch.setattr(stats, "variances", lambda v: calls.append("var") or real_variances(v))
+    rng = np.random.default_rng(29)
+    data = Dataset(rng.random((50, 1)))
+    for mid in REGISTRY:
+        if REGISTRY[mid].statistic == "variance":
+            prepare(mid, data)
+    assert calls == ["var", 2]
+    calls.clear()
+    p = prepare("moment_release", data, moment_k=8, moment_j=4)
+    assert calls == [8] and p.exact_value == float(real_sums(data.values, 8)[4])
+    pair = Dataset(rng.random((50, 2)))
+    for mid, k, cells in (
+        ("naive_covariance", 1, mechanisms._BASIS_COV), ("bezier_covariance", 1, None),
+        ("correlation_naive", 2, mechanisms._BASIS_CORR), ("correlation_bezier", 2, None),
+    ):
+        got = prepare(mid, pair)._sums.T
+        assert got.tobytes() == real_sums(pair.values, k, cells).tobytes(), mid
+
 
 def test_swap_draw_and_scaling():
     est = prepare("swap_variance", X3).run(1.0, NoiseSource.replay([0.09]))
