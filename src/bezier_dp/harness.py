@@ -494,14 +494,21 @@ def _plain_decimals(raw: bytes, offset: int) -> np.ndarray | None:
 
 def _plain_decimal_block(text: bytes) -> np.ndarray | None:
     """The (lines, fields) array of whole LF-ended lines of equal width, or None.
-    Only a block with a field of no dot or two searches for each dot's field."""
-    other = text.translate(None, b"0123456789.,\n")
-    if other.translate(None, b"eE+-") or len(other) > len(text) * _MAX_REREAD_SHARE:
-        return None  # spaces, CR, letters, quotes, or too many signs and exponents
+    A block of only digits, ".", "," and LF skips the byte-class translate;
+    only a block with a field of no dot or two searches for each dot's field."""
     buf = np.frombuffer(text, np.uint8)
     ends = np.flatnonzero(buf <= 44)  # the "," or LF after each field, and any "+"
-    ends = ends[buf[ends] != 43] if b"+" in other else ends
-    at_lf = buf[ends] == 10
+    sep = buf[ends]
+    at_lf = sep == 10
+    if buf.max() <= 57 and b"-" not in text and b"/" not in text and (at_lf | (sep == 44)).all():
+        other = b""  # every byte is a digit, ".", "," or LF
+    else:
+        other = text.translate(None, b"0123456789.,\n")
+        if other.translate(None, b"eE+-") or len(other) > len(text) * _MAX_REREAD_SHARE:
+            return None  # spaces, CR, letters, quotes, or too many signs and exponents
+        if b"+" in other:
+            ends = ends[sep != 43]
+            at_lf = buf[ends] == 10
     width = int(at_lf.argmax()) + 1
     if ends.size != at_lf.sum() * width or not at_lf[width - 1::width].all():
         return None  # a line of another width

@@ -59,7 +59,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -98,13 +98,19 @@ _TINY_VARPROD = 1e-12
 @dataclass(frozen=True)
 class Estimate:
     """One private release: the value (a float, or the power-sum vector of
-    `prepare_moment_release`) plus its audit trail."""
+    `prepare_moment_release`) plus its audit trail `noisy_aggregates`, which
+    is computed on first read and kept: a caller that reads only the value
+    never pays for it (a second Bernstein pass, for default basis records)."""
 
     value: float | np.ndarray
     mechanism_id: str
     epsilon: float
     clip_applied: ClipRange | None
-    noisy_aggregates: dict[str, float] = field(default_factory=dict)
+    _trail: Callable[[], dict] = field(default=dict, repr=False, compare=False)
+
+    @cached_property
+    def noisy_aggregates(self) -> dict[str, float]:
+        return {k: float(v) for k, v in self._trail().items()}
 
 
 @dataclass(frozen=True)
@@ -269,6 +275,8 @@ class PreparedMechanism:
         return self._release(flat)[0].reshape(z.shape[:-1])
 
     def run(self, eps: float, source: NoiseSource) -> Estimate:
+        """One release; its audit trail is built from the kept noise and
+        release outputs only when `noisy_aggregates` is read."""
         eps = check_epsilon(eps)
         z = source.laplace_vector(self.scale(eps), self.cells)
         val, raw, x = self._release(z)
@@ -277,7 +285,7 @@ class PreparedMechanism:
             mechanism_id=self.mechanism_id,
             epsilon=eps,
             clip_applied=self.clip_range,
-            noisy_aggregates={k: float(v) for k, v in self._trail(z, raw, x).items()},
+            _trail=partial(self._trail, z, raw, x),
         )
 
 
@@ -486,9 +494,14 @@ def _bind_moment(spec: Spec, k, j) -> Spec:
         raise DomainError(f"moment order must lie in [0, {k}], got {j}")
     return basis_spec(
         k, 1, id=spec.id, statistic=spec.statistic, aliases=spec.aliases,
-        post=lambda s, mu: mu[j],
-        exact=lambda data: _as_value(_power_sums(data, k)[..., j]),
+        post=lambda s, mu: mu[j], exact=_moment_exact(k, j),
     )
+
+
+@lru_cache(maxsize=None)
+def _moment_exact(k: int, j: int):
+    """One exact function per (k, j): bindings of one dataset share its entry."""
+    return lambda data: _as_value(_power_sums(data, k)[..., j])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bezier_dp import __version__, cli, sigma_lower_bound, variance_exact, Dataset
+from bezier_dp import __version__, cli, mechanisms, sigma_lower_bound, variance_exact, Dataset
 from bezier_dp.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 
@@ -95,6 +97,46 @@ def test_estimate_show_aggregates(pair_csv, capsys):
     out = capsys.readouterr().out
     assert "b_{0,0}~" in out
     assert "n~ = 3.0" in out
+
+
+# `--show-aggregates` output of every id, captured before the trail was built
+# lazily; the key is the id, the files and seed are those written below
+_SHOW_AGGREGATES = json.loads(
+    (Path(__file__).with_name("estimate_show_aggregates.json")).read_text()
+)
+
+
+@pytest.mark.parametrize("mid", sorted(mechanisms.REGISTRY))
+def test_show_aggregates_output_is_unchanged(mid, tmp_path, capsys):
+    spec = mechanisms.REGISTRY[mid]
+    p = tmp_path / "data.csv"
+    p.write_text(
+        "0.2\n0.4\n0.9\n0.05\n0.7\n" if spec.d == 1
+        else "0.1,0.3\n0.5,0.9\n1.0,0.2\n0.25,0.6\n0.8,0.75\n"
+    )
+    rc = main(["estimate", "--data", str(p), "--mechanism", "moment:3:2" if spec.params else mid,
+               "--epsilon", "1", "--seed", "7", "--show-aggregates"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == _SHOW_AGGREGATES[mid]
+
+
+@pytest.mark.parametrize("mechanism, columns", [("correlation_bezier", 2), ("moment:8:4", 1)])
+@pytest.mark.parametrize("show", [False, True])
+def test_estimate_makes_a_trail_pass_only_for_show_aggregates(
+    mechanism, columns, show, tmp_path, monkeypatch, capsys
+):
+    # the trail's noisy basis cells are a second Bernstein pass over the records
+    p = tmp_path / "data.csv"
+    np.savetxt(p, np.linspace(0.0, 1.0, 40 * columns).reshape(40, columns), delimiter=",")
+    calls = []
+    real = mechanisms.bernstein_aggregate
+    monkeypatch.setattr(
+        mechanisms, "bernstein_aggregate", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    argv = ["estimate", "--data", str(p), "--mechanism", mechanism, "--epsilon", "1"]
+    assert main(argv + ["--show-aggregates"] * show) == EXIT_OK
+    assert len(calls) == show
+    assert ("~ = " in capsys.readouterr().out) == show
 
 
 def test_estimate_alias_resolution(data_csv, pair_csv, capsys):

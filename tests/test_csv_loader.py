@@ -358,3 +358,45 @@ def test_without_long_double_loadtxt_reads_the_same(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_X87_LONGDOUBLE", False)
     plain = load_csv_dataset(str(p)).values
     assert len(calls) == 1 and plain.tobytes() == tiered.tobytes() and plain.shape == tiered.shape
+
+
+@x87
+@pytest.mark.parametrize("chunk", [128, harness._CHUNK])
+def test_every_byte_value_keeps_the_tier_outcome(chunk, monkeypatch):
+    # A block of only digits, ".", "," and LF skips the byte-class translate;
+    # any other byte sends its block through it.  Each byte value inserted at
+    # four places in a plain "%.17g" block gives the outcome the translate path
+    # gives: an array bit for bit float()'s, ValueError, or None.
+    vals = np.linspace(0.013, 0.987, 60).reshape(30, 2)
+    base = "".join("%.17g,%.17g\n" % tuple(pair) for pair in vals.tolist()).encode()
+    line = base.index(b"\n", len(base) // 2) + 1  # "0.5...": 18 digits, room for a 19th
+    places = {"start": 0, "mid": line + 4, "before_lf": base.index(b"\n", line), "end": len(base)}
+    digits = set(b"0123456789")
+    read = {  # byte values read as numbers; "10.013..." has 20 digits and is declined
+        "start": set(b"+-0"), "mid": digits | set(b"eE"), "before_lf": digits, "end": set(),
+    }
+    malformed = {"start": set(b"eE"), "mid": set(b"+-"), "before_lf": set(b"+-eE"), "end": set()}
+    cases = [
+        (place, bytes([b]), "array" if b in read[place] else "error" if b in malformed[place]
+         else None)  # "end": a one-field line after the last
+        for place in places for b in range(256)
+    ]
+    cases += [
+        ("end", b"1,+0.5\n", "array"), ("before_lf", b"e-5", "array"), ("mid", b"E+5", "array"),
+        ("start", b"-0", "array"), ("mid", b"-0", "error"), ("mid", b"\r\n", None),
+        ("before_lf", b" ", None), ("start", b"\x80", None), ("mid", b"/", None),
+    ]
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    for place, insert, want in cases:
+        raw = base[: places[place]] + insert + base[places[place] :]
+        if want == "error":
+            with pytest.raises(ValueError):
+                harness._plain_decimals(raw, 0)
+            continue
+        got = harness._plain_decimals(raw, 0)
+        if want is None:
+            assert got is None, (place, insert)
+            continue
+        fields = np.array([float(f) for f in raw.replace(b"\n", b",").split(b",")[:-1]])
+        assert got is not None and got.shape == (fields.size // 2, 2), (place, insert)
+        assert got.tobytes() == fields.tobytes(), (place, insert)

@@ -459,6 +459,32 @@ def test_trail_keys_cover_every_mechanism():
     assert set(_TRAIL_KEYS) == set(MECHANISM_IDS)
 
 
+def test_trail_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+    real = mechanisms.bernstein_aggregate
+    monkeypatch.setattr(
+        mechanisms, "bernstein_aggregate", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    est = prepare("correlation_bezier", PAIRS3).run(1.0, NoiseSource.seeded(3))
+    assert calls == []  # the release alone makes no trail pass
+    first = est.noisy_aggregates
+    assert len(calls) == 1 and est.noisy_aggregates is first and len(first) == 18
+    again = prepare("correlation_bezier", PAIRS3).run(1.0, NoiseSource.seeded(3))
+    assert again.noisy_aggregates == first
+    assert repr(est).endswith("clip_applied=ClipRange(lo=-1.0, hi=1.0))")
+
+
+def test_moment_bindings_share_one_exact_entry():
+    data = Dataset([0.2, 0.4, 0.9])
+    prepare("moment_release", data, moment_k=3, moment_j=2)
+    entries = len(data.shared)
+    for _ in range(50):
+        prepare("moment_release", data, moment_k=3, moment_j=2)
+    assert len(data.shared) == entries
+    prepare("moment_release", data, moment_k=3, moment_j=1)
+    assert len(data.shared) == entries + 1  # another j: its own exact value
+
+
 def test_prepare_registry_and_validation():
     ids = _VARCOV_IDS + _CORR_IDS + ("moment_release",) + tuple(_BEYOND_VARIANCE_IDS)
     assert set(ids) == set(MECHANISM_IDS)
